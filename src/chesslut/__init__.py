@@ -43,6 +43,7 @@ from .rotated import (
     bishop_attacks_rotated,
     build_line_attack_bytes,
     build_rotation_maps,
+    derive_rotated_state,
     make_rotated_state,
     queen_attacks_rotated,
     rook_attacks_rotated,

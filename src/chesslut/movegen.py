@@ -2,8 +2,11 @@
 
 Generation is parameterized by an attack backend so the direct-lookup
 tables and the rotated-bitboard baseline share every code path except the
-sliding-piece attack queries.  Positions are immutable, so make_move
-returns a new Position and unmaking is just keeping the old value.
+sliding-piece attack queries and the upkeep of their occupancy context.
+Positions are immutable, so make_move returns a new Position and unmaking
+is just keeping the old value.  The search (perft, generate_legal) derives
+each child's context from its parent's, so the rotated backend pays the
+incremental upkeep of the classical design rather than a full rotation.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .rotated import (
     RotatedState,
     RotationMaps,
     bishop_attacks_rotated,
+    derive_rotated_state,
     make_rotated_state,
     queen_attacks_rotated,
     rook_attacks_rotated,
@@ -90,11 +94,16 @@ PAWN_ATTACKS = (
 
 
 class AttackBackend(Protocol):
-    """Sliding-piece attack provider; context is backend-specific occupancy."""
+    """Sliding-piece attack provider; context is backend-specific occupancy.
+
+    ``prepare(occupied)`` builds the context for a board from scratch.
+    ``prepare(occupied, parent)`` builds it from *parent*, the context of a
+    board one move away: the upkeep a backend pays per move in the search.
+    """
 
     name: str
 
-    def prepare(self, occupied: Bitboard) -> Any: ...
+    def prepare(self, occupied: Bitboard, parent: Any = None) -> Any: ...
 
     def context_from_state(self, state: RotatedState) -> Any: ...
 
@@ -113,7 +122,8 @@ class DirectBackend:
     def __init__(self, tables: AttackTables) -> None:
         self.tables = tables
 
-    def prepare(self, occupied: Bitboard) -> Bitboard:
+    def prepare(self, occupied: Bitboard, parent: Bitboard | None = None) -> Bitboard:
+        """The occupancy is the whole context: nothing to keep up."""
         return occupied
 
     def context_from_state(self, state: RotatedState) -> Bitboard:
@@ -138,8 +148,11 @@ class RotatedBackend:
         self.maps = maps
         self.arrays = arrays
 
-    def prepare(self, occupied: Bitboard) -> RotatedState:
-        return make_rotated_state(occupied, self.maps)
+    def prepare(self, occupied: Bitboard, parent: RotatedState | None = None) -> RotatedState:
+        """Rotate *occupied* afresh, or flip only the squares that differ from *parent*."""
+        if parent is None:
+            return make_rotated_state(occupied, self.maps)
+        return derive_rotated_state(parent, occupied, self.maps)
 
     def context_from_state(self, state: RotatedState) -> RotatedState:
         return state
@@ -342,7 +355,10 @@ def make_move(position: Position, move: Move) -> Position:
 
 
 def in_check(position: Position, color: int, backend: AttackBackend, context: Any = None) -> bool:
-    """True if *color*'s king is attacked; a side without a king is never in check."""
+    """True if *color*'s king is attacked; a side without a king is never in check.
+
+    *context* is the backend's context for *position*; omitted, it is built from scratch.
+    """
     king_sq = position.king_square(color)
     if king_sq is None:
         return False
@@ -351,27 +367,40 @@ def in_check(position: Position, color: int, backend: AttackBackend, context: An
     return is_square_attacked(position, king_sq, 1 - color, backend, context)
 
 
+def _legal_children(
+    position: Position, backend: AttackBackend, context: Any
+) -> list[tuple[Move, Position, Any]]:
+    """(move, child, child context) for each legal move, in generation order.
+
+    Each child's context is derived from *context*, its parent's, and then
+    serves both the king-safety test and the child's own generation.
+    """
+    us = position.side_to_move
+    prepare = backend.prepare
+    children = []
+    for move in generate_pseudo_legal(position, backend, context):
+        child = make_move(position, move)
+        child_context = prepare(child.occupied(), context)
+        if not in_check(child, us, backend, child_context):
+            children.append((move, child, child_context))
+    return children
+
+
 def generate_legal(position: Position, backend: AttackBackend) -> list[Move]:
     """Pseudo-legal moves filtered for own-king safety."""
     context = backend.prepare(position.occupied())
-    us = position.side_to_move
-    legal = []
-    for move in generate_pseudo_legal(position, backend, context):
-        if not in_check(make_move(position, move), us, backend):
-            legal.append(move)
-    return legal
+    return [move for move, _, _ in _legal_children(position, backend, context)]
 
 
 def perft(position: Position, depth: int, backend: AttackBackend) -> int:
     """Leaf count of the legal move tree at *depth*."""
     if depth <= 0:
         return 1
-    us = position.side_to_move
-    context = backend.prepare(position.occupied())
-    total = 0
-    for move in generate_pseudo_legal(position, backend, context):
-        child = make_move(position, move)
-        if in_check(child, us, backend):
-            continue
-        total += perft(child, depth - 1, backend) if depth > 1 else 1
-    return total
+    return _perft(position, depth, backend, backend.prepare(position.occupied()))
+
+
+def _perft(position: Position, depth: int, backend: AttackBackend, context: Any) -> int:
+    children = _legal_children(position, backend, context)
+    if depth == 1:
+        return len(children)
+    return sum(_perft(child, depth - 1, backend, child_context) for _, child, child_context in children)

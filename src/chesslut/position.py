@@ -21,6 +21,8 @@ CASTLE_WK, CASTLE_WQ, CASTLE_BK, CASTLE_BQ = 1, 2, 4, 8
 
 STARTING_FEN = "rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq - 0 1"
 
+_BACK_RANKS: Bitboard = 0xFF | 0xFF << 56
+
 
 class FenError(ValueError):
     """Raised for malformed FEN or EPD input."""
@@ -93,7 +95,31 @@ def _parse_board_field(field: str) -> list[Bitboard]:
     for color, word in ((WHITE, "white"), (BLACK, "black")):
         if boards[color * 6 + KING].bit_count() > 1:
             raise FenError(f"multiple {word} kings (field 1)")
+    stray = (boards[PAWN] | boards[6 + PAWN]) & _BACK_RANKS
+    if stray:
+        square = square_name(stray.bit_length() - 1)
+        raise FenError(f"pawn on {square}: pawns cannot stand on rank 1 or 8 (field 1)")
     return boards
+
+
+def _check_ep_square(ep: Square, side: int, boards: list[Bitboard]) -> None:
+    """The pawn that just double-pushed past *ep* must stand in front of it, its path empty."""
+    step = 8 if side == WHITE else -8  # the side to move's pawn direction
+    pawn_sq, origin = ep - step, ep + step
+    if not boards[(1 - side) * 6 + PAWN] & (1 << pawn_sq):
+        raise FenError(
+            f"en-passant square {square_name(ep)} but no pawn on {square_name(pawn_sq)} "
+            "that could have just double-pushed (field 4)"
+        )
+    occupied = 0
+    for board in boards:
+        occupied |= board
+    blocked = occupied & ((1 << ep) | (1 << origin))
+    if blocked:
+        raise FenError(
+            f"en-passant square {square_name(ep)} but {square_name(blocked.bit_length() - 1)} "
+            "is occupied (field 4)"
+        )
 
 
 _CASTLE_REQUIREMENTS = {
@@ -151,6 +177,7 @@ def parse_fen(text: str) -> Position:
             raise FenError(
                 f"en-passant square {fields[3]} on wrong rank for side to move (field 4)"
             )
+        _check_ep_square(ep, side, boards)
 
     return Position(tuple(boards), side, castling, ep)
 

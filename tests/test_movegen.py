@@ -1,14 +1,21 @@
 import random
+from collections import Counter
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_engine import ref_legal_moves, ref_move_uci, ref_parse_fen, ref_perft
 
 from chesslut.bitboard import popcount, square_index
 from chesslut.movegen import (
+    CAPTURE,
     CASTLE,
+    DOUBLE_PUSH,
     EP_CAPTURE,
     KING_ATTACKS,
     KNIGHT_ATTACKS,
     PROMOTION,
+    QUIET,
+    _legal_children,
     build_leaper_tables,
     generate_legal,
     generate_pseudo_legal,
@@ -31,6 +38,9 @@ from chesslut.position import (
 KIWIPETE = "r3k2r/p1ppqpb1/bn2pnp1/3PN3/1p2P3/2N2Q1p/PPPBBPPP/R3K2R w KQkq - 0 1"
 POS3 = "8/2p5/3p4/KP5r/1R3p1k/8/4P1P1/8 w - - 0 1"
 POS4 = "r3k2r/Pppp1ppp/1b3nbN/nP6/BBP1P3/q4N2/Pp1P2PP/R2Q1RK1 w kq - 0 1"
+POS5 = "rnbq1k1r/pp1Pbppp/2p5/8/2B5/8/PPP1NnPP/RNBQK2R w KQ - 1 8"
+POS6 = "r4rk1/1pp1qppp/p1np1n2/2b1p1B1/2B1P1b1/P1NP1N2/1PP1QPPP/R4RK1 w - - 0 10"
+PUBLISHED = (serialize_fen(startpos()), KIWIPETE, POS3, POS4, POS5, POS6)
 
 
 def uci_set(moves):
@@ -231,6 +241,68 @@ def test_perft_tactical_positions_match_reference(direct_backend):
 
 
 def test_perft_backends_agree(direct_backend, rotated_backend):
-    for fen, depth in ((KIWIPETE, 2), (POS3, 3)):
+    """Published counts (chessprogramming.org, Perft Results) on both backends, at
+    depths that reach promotions, en passant and castling through check."""
+    for fen, depth, expected in (
+        (KIWIPETE, 3, 97_862),
+        (POS3, 4, 43_238),
+        (POS4, 3, 9_467),
+        (POS5, 3, 62_379),
+        (POS6, 3, 89_890),
+    ):
         pos = parse_fen(fen)
-        assert perft(pos, depth, direct_backend) == perft(pos, depth, rotated_backend)
+        assert perft(pos, depth, direct_backend) == expected, fen
+        assert perft(pos, depth, rotated_backend) == expected, fen
+
+
+# -- incremental context upkeep -----------------------------------------------
+
+# Squares whose occupancy a move flips, by kind; a promotion counts as its
+# capture or quiet counterpart.
+CHANGED_SQUARES = {QUIET: 2, DOUBLE_PUSH: 2, CAPTURE: 1, EP_CAPTURE: 3, CASTLE: 4}
+
+
+def walk_checking_upkeep(backend, seed, plies):
+    """Random legal playouts from each published position.  At every ply, every
+    child's context (derived from its parent's, as the search does) must equal
+    the context built from scratch, and the move must flip the expected number
+    of squares.  Returns the count of (kind, is capture) seen."""
+    rng = random.Random(seed)
+    seen = Counter()
+    for fen in PUBLISHED:
+        position = parse_fen(fen)
+        for _ in range(plies):
+            parent_occ = position.occupied()
+            children = _legal_children(position, backend, backend.prepare(parent_occ))
+            if not children:
+                break
+            for move, child, child_context in children:
+                assert child_context == backend.prepare(child.occupied()), move.uci()
+                is_capture = bool(parent_occ >> move.to_square & 1)
+                kind = move.kind
+                if kind == PROMOTION:
+                    kind = CAPTURE if is_capture else QUIET
+                assert (parent_occ ^ child.occupied()).bit_count() == CHANGED_SQUARES[kind], move.uci()
+                seen[move.kind, is_capture] += 1
+            position = rng.choice(children)[1]
+    return seen
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_derived_context_matches_scratch_on_playouts(direct_backend, rotated_backend, seed):
+    for backend in (direct_backend, rotated_backend):
+        walk_checking_upkeep(backend, seed, plies=16)
+
+
+def test_upkeep_playouts_reach_every_move_kind(rotated_backend):
+    seen = walk_checking_upkeep(rotated_backend, seed=0, plies=40)
+    assert set(seen) == {
+        (QUIET, False),
+        (DOUBLE_PUSH, False),
+        (CAPTURE, True),
+        (EP_CAPTURE, False),
+        (CASTLE, False),
+        (PROMOTION, False),
+        (PROMOTION, True),
+    }

@@ -79,11 +79,30 @@ def test_bad_ep_square_rejected():
     # Right format, wrong rank for the side to move.
     with pytest.raises(FenError, match="en-passant"):
         parse_fen("8/8/8/8/8/8/8/K7 w - e3")
+    # Right rank, but no pawn can have just double-pushed past the target.
+    for fen in (
+        "k7/8/8/8/8/8/8/K7 b - e3",  # no pawn at all
+        "k7/8/8/8/4p3/8/8/K7 b - e3",  # the pawn in front is the side to move's
+        "k7/8/8/8/4P3/4N3/8/K7 b - e3",  # target occupied
+        "k7/8/8/8/4P3/8/4N3/K7 b - e3",  # origin occupied
+        "k7/8/8/3p4/8/8/8/K7 w - e6",  # white to move: no black pawn on e5
+    ):
+        with pytest.raises(FenError, match="field 4"):
+            parse_fen(fen)
+
+
+def test_pawn_on_back_rank_rejected():
+    for fen in ("P7/8/8/8/8/8/8/k6K w - -", "4k3/8/8/8/8/8/8/4K2p w - -"):
+        with pytest.raises(FenError, match="field 1"):
+            parse_fen(fen)
 
 
 def test_ep_square_accepted_on_correct_rank():
     pos = parse_fen("rnbqkbnr/pppppppp/8/8/4P3/8/PPPP1PPP/RNBQKBNR b KQkq e3")
     assert pos.ep_square == square_index("e3")
+    # No capturing pawn is required: serialize_fen writes the target after every double push.
+    pos = parse_fen("k7/8/8/3p4/8/8/8/K7 w - d6")
+    assert pos.ep_square == square_index("d6")
 
 
 def test_serialize_round_trip_startpos():
