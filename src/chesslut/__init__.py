@@ -31,6 +31,7 @@ from .tables import (
     bishop_attacks,
     build_attack_table,
     build_attack_tables,
+    build_line_attack_bytes,
     build_masks,
     legal_targets,
     queen_attacks,
@@ -41,7 +42,6 @@ from .rotated import (
     RotatedState,
     RotationMaps,
     bishop_attacks_rotated,
-    build_line_attack_bytes,
     build_rotation_maps,
     derive_rotated_state,
     make_rotated_state,

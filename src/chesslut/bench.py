@@ -37,7 +37,6 @@ class BenchConfig:
     backends: tuple[str, ...] = BACKEND_NAMES
     repetitions: int = 10
     warmup: int = 2
-    output_format: str = "text"
     tables_path: str | Path | None = None
     strict: bool = False
 

@@ -30,6 +30,11 @@ H7, G7, F7, E7, D7, C7, B7, A7 = (1 << i for i in range(48, 56))
 H8, G8, F8, E8, D8, C8, B8, A8 = (1 << i for i in range(56, 64))
 
 
+def off_board(square: object) -> ValueError:
+    """The error the public slider queries raise for a square outside 0..63."""
+    return ValueError(f"square {square!r} is off the board (expected 0..63)")
+
+
 def square_bb(square: Square) -> Bitboard:
     """Bitboard with only *square* set."""
     return 1 << square

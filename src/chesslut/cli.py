@@ -84,7 +84,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         backends=backends,
         repetitions=args.reps,
         warmup=args.warmup,
-        output_format=args.format,
         tables_path=args.tables,
         strict=args.strict,
     )

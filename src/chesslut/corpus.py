@@ -1,7 +1,7 @@
 """Deterministic pseudo-random position corpus.
 
 Seeded random playouts from the starting position yield legal midgame-like
-positions; every position from a configurable ply onward is recorded until
+positions; every position from a fixed ply onward is recorded until
 the requested count is reached.  The same seed always produces the same
 corpus, so benchmark runs are reproducible without shipping any copyrighted
 test suite.
@@ -18,20 +18,19 @@ from .position import Position, serialize_fen, startpos
 from .tables import build_attack_tables
 
 DEFAULT_COUNT = 879
+# Each playout records every position from MIN_PLIES on and stops after MAX_PLIES.
+MIN_PLIES = 12
+MAX_PLIES = 60
 
 
 def generate_corpus(
     count: int = DEFAULT_COUNT,
     seed: int = 1,
-    min_plies: int = 12,
-    max_plies: int = 60,
     backend: AttackBackend | None = None,
 ) -> list[tuple[Position, str]]:
     """Generate *count* legal positions from seeded random playouts."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if min_plies < 1 or max_plies < min_plies:
-        raise ValueError("need 1 <= min_plies <= max_plies")
     if backend is None:
         backend = DirectBackend(build_attack_tables())
 
@@ -39,12 +38,12 @@ def generate_corpus(
     entries: list[tuple[Position, str]] = []
     while len(entries) < count:
         position = startpos()
-        for ply in range(1, max_plies + 1):
+        for ply in range(1, MAX_PLIES + 1):
             moves = generate_legal(position, backend)
             if not moves:
                 break
             position = make_move(position, rng.choice(moves))
-            if ply >= min_plies:
+            if ply >= MIN_PLIES:
                 entries.append((position, f"rnd-{len(entries) + 1:04d}"))
                 if len(entries) == count:
                     break

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitboard import Bitboard, Square, make_square, square_index, square_name
+from .bitboard import Bitboard, Square, file_of, make_square, rank_of, square_index, square_name
+from .rays import bishop_rays, rook_rays
 
 WHITE, BLACK = 0, 1
 PAWN, KNIGHT, BISHOP, ROOK, QUEEN, KING = range(6)
@@ -22,6 +23,10 @@ CASTLE_WK, CASTLE_WQ, CASTLE_BK, CASTLE_BQ = 1, 2, 4, 8
 STARTING_FEN = "rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq - 0 1"
 
 _BACK_RANKS: Bitboard = 0xFF | 0xFF << 56
+
+# (file_step, rank_step) offsets of knight and king moves.
+_KNIGHT_STEPS = ((1, 2), (2, 1), (2, -1), (1, -2), (-1, -2), (-2, -1), (-2, 1), (-1, 2))
+_KING_STEPS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
 
 
 class FenError(ValueError):
@@ -122,6 +127,43 @@ def _check_ep_square(ep: Square, side: int, boards: list[Bitboard]) -> None:
         )
 
 
+def _step_targets(square: Square, steps: tuple[tuple[int, int], ...]) -> Bitboard:
+    """Squares one (file, rank) step away from *square*, off-board steps dropped."""
+    file_index, rank_index = file_of(square), rank_of(square)
+    targets = 0
+    for file_step, rank_step in steps:
+        f, r = file_index + file_step, rank_index + rank_step
+        if 0 <= f <= 7 and 0 <= r <= 7:
+            targets |= 1 << make_square(f, r)
+    return targets
+
+
+def _check_waiting_king(side: int, boards: list[Bitboard]) -> None:
+    """The side not to move has just moved, so its king cannot be in check."""
+    king = boards[(1 - side) * 6 + KING]
+    if not king:
+        return
+    square = king.bit_length() - 1
+    occupied = 0
+    for board in boards:
+        occupied |= board
+    movers = boards[side * 6 : side * 6 + 6]
+    pawn_rank_step = -1 if side == WHITE else 1  # the attacking pawn stands behind the king
+    checkers = (
+        rook_rays(occupied, square) & (movers[ROOK] | movers[QUEEN])
+        | bishop_rays(occupied, square) & (movers[BISHOP] | movers[QUEEN])
+        | _step_targets(square, _KNIGHT_STEPS) & movers[KNIGHT]
+        | _step_targets(square, ((-1, pawn_rank_step), (1, pawn_rank_step))) & movers[PAWN]
+        | _step_targets(square, _KING_STEPS) & movers[KING]
+    )
+    if checkers:
+        names = ("white", "black")
+        raise FenError(
+            f"{names[side]} to move but the {names[1 - side]} king on {square_name(square)} "
+            f"is in check from {square_name(checkers.bit_length() - 1)} (field 2)"
+        )
+
+
 _CASTLE_REQUIREMENTS = {
     "K": (CASTLE_WK, WHITE, square_index("e1"), square_index("h1")),
     "Q": (CASTLE_WQ, WHITE, square_index("e1"), square_index("a1")),
@@ -162,6 +204,7 @@ def parse_fen(text: str) -> Position:
         side = BLACK
     else:
         raise FenError(f"side to move must be 'w' or 'b', got {fields[1]!r} (field 2)")
+    _check_waiting_king(side, boards)
 
     castling = _parse_castling_field(fields[2], boards)
 

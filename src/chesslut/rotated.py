@@ -14,24 +14,30 @@ Layouts:
   starts at h1, northwest at a1), each diagonal occupying a run of bits at
   its prefix-sum offset.
 
-A lookup extracts the line's occupancy byte, indexes a shared 8x256
-first-rank attack array with the mover's position in the line, and maps
-the attacked line positions back to board squares.  Occupancy bytes of
-short diagonals are zero padded above the line length; the padding can
-never block anything, and map-back ignores positions past the line end.
+A lookup extracts the line's occupancy byte, indexes the 8x256 first-rank
+attack array with the mover's position in the line, and maps the attacked
+line positions back to board squares.  That array is
+``tables.build_line_attack_bytes``, the same first-rank walk the direct
+rank table is shifted up from.  Ranks and files need no per-square layout:
+the rank byte sits at 8 * rank in the main board and the file byte at
+8 * (in-rank offset) in the 90 degree board, so only the diagonals carry a
+``LineLayout``.  Occupancy bytes of short diagonals are zero padded above
+the line length; the padding can never block anything, and map-back
+ignores positions past the line end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitboard import Bitboard, Square
-from .tables import NE_DIAGONALS, NW_DIAGONALS
+from .bitboard import Bitboard, Square, off_board
+from .tables import NE_DIAGONALS, NW_DIAGONALS, LineAttackArrays
+from .tables import build_line_attack_bytes as build_line_attack_bytes  # the baseline's byte array
 
 
 @dataclass(frozen=True)
 class LineLayout:
-    """Where each square's line lives inside one rotated board."""
+    """Where each square's diagonal lives inside one 45 degree board."""
 
     shift: tuple[int, ...]  # bit offset of the square's line
     length: tuple[int, ...]  # number of squares on the line
@@ -41,19 +47,14 @@ class LineLayout:
 
 @dataclass(frozen=True)
 class RotationMaps:
-    """Square remappings plus per-line metadata for all four orientations."""
+    """Square remappings plus the per-square line data the lookups read."""
 
     r90: tuple[int, ...]  # square -> bit index in the 90 degree board
     r45_ne: tuple[int, ...]
     r45_nw: tuple[int, ...]
-    rank_line: LineLayout
-    file_line: LineLayout
+    file_squares: tuple[tuple[Bitboard, ...], ...]  # square -> its file, rank 1 first
     ne_line: LineLayout
     nw_line: LineLayout
-
-
-# 8x256 table of first-rank attack bytes indexed by [position in line][occupancy].
-LineAttackArrays = tuple[tuple[int, ...], ...]
 
 
 def _diagonal_layout(diagonals: tuple[tuple[Bitboard, ...], ...]) -> tuple[list[int], LineLayout]:
@@ -77,27 +78,13 @@ def _diagonal_layout(diagonals: tuple[tuple[Bitboard, ...], ...]) -> tuple[list[
 
 
 def build_rotation_maps() -> RotationMaps:
-    """Build all three square remappings and the per-square line metadata."""
+    """Build all three square remappings and the per-square line data."""
     # 90 degrees: (rank r, in-rank offset o) -> (rank o, in-rank offset r).
     r90 = tuple(8 * (sq & 7) + (sq >> 3) for sq in range(64))
-
-    rank_shift = tuple(8 * (sq >> 3) for sq in range(64))
-    rank_pos = tuple(sq & 7 for sq in range(64))
-    rank_squares = tuple(
-        tuple(1 << (8 * (sq >> 3) + k) for k in range(8)) for sq in range(64)
-    )
-    rank_line = LineLayout(rank_shift, (8,) * 64, rank_pos, rank_squares)
-
-    # In the 90 degree board a file's byte sits at 8 * o where o is the
-    # in-rank offset shared by the file's squares; bit k of the byte is the
-    # square on rank k + 1.
-    file_shift = tuple(8 * (sq & 7) for sq in range(64))
-    file_pos = tuple(sq >> 3 for sq in range(64))
+    # Bit k of a file's byte in the 90 degree board is the square on rank k + 1.
     file_squares = tuple(
         tuple(1 << (8 * k + (sq & 7)) for k in range(8)) for sq in range(64)
     )
-    file_line = LineLayout(file_shift, (8,) * 64, file_pos, file_squares)
-
     ne_map, ne_line = _diagonal_layout(NE_DIAGONALS)
     nw_map, nw_line = _diagonal_layout(NW_DIAGONALS)
 
@@ -105,8 +92,7 @@ def build_rotation_maps() -> RotationMaps:
         r90=r90,
         r45_ne=tuple(ne_map),
         r45_nw=tuple(nw_map),
-        rank_line=rank_line,
-        file_line=file_line,
+        file_squares=file_squares,
         ne_line=ne_line,
         nw_line=nw_line,
     )
@@ -170,26 +156,6 @@ def toggle_square(state: RotatedState, maps: RotationMaps, square: Square) -> Ro
     return derive_rotated_state(state, state.occ ^ (1 << square), maps)
 
 
-def build_line_attack_bytes() -> LineAttackArrays:
-    """First-rank attack bytes: [mover position 0..7][occupancy byte] -> byte."""
-    table = []
-    for pos in range(8):
-        row = []
-        for occ in range(256):
-            attacks = 0
-            for ahead in range(pos + 1, 8):
-                attacks |= 1 << ahead
-                if occ & (1 << ahead):
-                    break
-            for behind in range(pos - 1, -1, -1):
-                attacks |= 1 << behind
-                if occ & (1 << behind):
-                    break
-            row.append(attacks)
-        table.append(tuple(row))
-    return tuple(table)
-
-
 def _map_line(attack_byte: int, line_squares: tuple[Bitboard, ...]) -> Bitboard:
     """Map attacked line positions back to board squares."""
     bb = 0
@@ -204,25 +170,34 @@ def _map_line(attack_byte: int, line_squares: tuple[Bitboard, ...]) -> Bitboard:
 def rook_attacks_rotated(
     state: RotatedState, maps: RotationMaps, arrays: LineAttackArrays, square: Square
 ) -> Bitboard:
+    """Rook attacks from *square*; a square outside 0..63 raises ValueError."""
     r = square >> 3
     o = square & 7
-    rank_occ = (state.occ >> (8 * r)) & 0xFF
-    attacks = arrays[o][rank_occ] << (8 * r)  # the rank byte is already board-aligned
-    file_occ = (state.occ90 >> (8 * o)) & 0xFF
-    attacks |= _map_line(arrays[r][file_occ], maps.file_line.squares[square])
-    return attacks
+    try:
+        rank_occ = (state.occ >> (8 * r)) & 0xFF
+        attacks = arrays[o][rank_occ] << (8 * r)  # the rank byte is already board-aligned
+        file_occ = (state.occ90 >> (8 * o)) & 0xFF
+        return attacks | _map_line(arrays[r][file_occ], maps.file_squares[square])
+    except (KeyError, IndexError, ValueError):
+        raise off_board(square) from None
 
 
 def bishop_attacks_rotated(
     state: RotatedState, maps: RotationMaps, arrays: LineAttackArrays, square: Square
 ) -> Bitboard:
+    """Bishop attacks from *square*; a square outside 0..63 raises ValueError."""
     ne = maps.ne_line
-    ne_occ = (state.occ45_ne >> ne.shift[square]) & ((1 << ne.length[square]) - 1)
-    attacks = _map_line(arrays[ne.pos[square]][ne_occ], ne.squares[square])
     nw = maps.nw_line
-    nw_occ = (state.occ45_nw >> nw.shift[square]) & ((1 << nw.length[square]) - 1)
-    attacks |= _map_line(arrays[nw.pos[square]][nw_occ], nw.squares[square])
-    return attacks
+    try:
+        # Tuples wrap negative indices, so a negative square must fail on its own.
+        if square < 0:
+            raise IndexError(square)
+        ne_occ = (state.occ45_ne >> ne.shift[square]) & ((1 << ne.length[square]) - 1)
+        attacks = _map_line(arrays[ne.pos[square]][ne_occ], ne.squares[square])
+        nw_occ = (state.occ45_nw >> nw.shift[square]) & ((1 << nw.length[square]) - 1)
+        return attacks | _map_line(arrays[nw.pos[square]][nw_occ], nw.squares[square])
+    except (KeyError, IndexError, ValueError):
+        raise off_board(square) from None
 
 
 def queen_attacks_rotated(

@@ -13,23 +13,35 @@ width, little endian:
     trailer    crc32 of everything before it, u32
 
 Loads are verified against magic, version and checksum and fail with an
-error naming the byte offset of the problem.
+error naming the byte offset of the problem.  A file that passes the
+checksum is then checked for structure: the masks must equal freshly built
+ones, every table must have its exact cardinality, and a seeded spot check
+compares each table against the ray oracle; a failure names the table.
 """
 
 from __future__ import annotations
 
+import random
 import struct
 import zlib
 from pathlib import Path
 from typing import BinaryIO
 
-from .tables import AttackTable, AttackTables, MaskTables
+from .bitboard import square_name
+from .rays import bishop_rays, rook_rays
+from .tables import AttackTable, AttackTables, MaskTables, build_masks
 
 MAGIC = b"SLIDELUT"
 VERSION = 1
 
 _TABLE_FIELDS = ("rank_attacks", "file_attacks", "diag_attacks_ne", "diag_attacks_nw")
 _MASK_FIELDS = ("rank", "file", "diag_ne", "diag_nw")
+# (table, its mask, the oracle that walks its lines), in _TABLE_FIELDS order.
+_TABLE_LINES = tuple(
+    zip(_TABLE_FIELDS, _MASK_FIELDS, (rook_rays, rook_rays, bishop_rays, bishop_rays))
+)
+_SPOT_CHECK_SEED = 0
+_SPOT_CHECK_QUERIES = 256
 
 
 class TableLoadError(ValueError):
@@ -119,10 +131,45 @@ def load_tables(source: BinaryIO | str | Path) -> AttackTables:
             f"stored {stored:#010x}, computed {expected_crc:#010x}"
         )
 
-    return AttackTables(
+    tables = AttackTables(
         rank_attacks=loaded["rank_attacks"],
         file_attacks=loaded["file_attacks"],
         diag_attacks_ne=loaded["diag_attacks_ne"],
         diag_attacks_nw=loaded["diag_attacks_nw"],
         masks=MaskTables(**mask_arrays),
     )
+    _check_structure(tables)
+    return tables
+
+
+def _check_structure(tables: AttackTables) -> None:
+    """Reject a well-formed file whose tables could not serve every query correctly."""
+    expected_masks = build_masks()
+    for field in _MASK_FIELDS:
+        if getattr(tables.masks, field) != getattr(expected_masks, field):
+            raise TableLoadError(f"bad structure in masks.{field}: not the {field} line masks")
+    for field in ("rank_attacks", "file_attacks"):
+        table: AttackTable = getattr(tables, field)
+        if len(table) != 64 or any(len(entries) != 256 for entries in table.values()):
+            raise TableLoadError(f"bad structure in {field}: expected 64 movers x 256 entries")
+    for field in ("diag_attacks_ne", "diag_attacks_nw"):
+        table = getattr(tables, field)
+        if len(table) != 65 or table.get(0) != {0: 0} or sum(map(len, table.values())) != 5125:
+            raise TableLoadError(
+                f"bad structure in {field}: expected 64 movers with 5124 entries "
+                "plus the [0][0] = 0 base entry"
+            )
+    rng = random.Random(_SPOT_CHECK_SEED)
+    for query in range(_SPOT_CHECK_QUERIES):
+        occupied = rng.getrandbits(64)
+        if query % 2:
+            occupied &= rng.getrandbits(64)  # mix in sparser boards
+        square = rng.randrange(64)
+        for field, mask_field, rays in _TABLE_LINES:
+            mask = getattr(tables.masks, mask_field)[square]
+            found = getattr(tables, field).get(1 << square, {}).get(occupied & mask)
+            if found != rays(occupied, square) & mask:
+                raise TableLoadError(
+                    f"bad structure in {field}: wrong attacks from {square_name(square)} "
+                    f"with occupancy {occupied & mask:#x}"
+                )

@@ -13,7 +13,9 @@ A query is therefore two dict lookups and an OR:
     | file_attacks[piece_bb][occupied & file_mask[sq]]
 
 Rank tables are built by walking the first rank and shifting the result up
-rank by rank (one rank up multiplies keys and values by 256).  File tables
+rank by rank (one rank up multiplies keys and values by 256).  That walk,
+``build_line_attack_bytes``, is the one 8x256 first-rank array in the
+package: the rotated baseline indexes the same rows.  File tables
 reuse the first-rank results, reflected across the a8-h1 line so that rank
 patterns become file patterns.  Diagonal tables, whose lines are 1 to 8
 squares long, come from a generalized builder that works on explicit square
@@ -38,10 +40,14 @@ from .bitboard import (
     bit_index,
     clear_lsb,
     lsb,
+    off_board,
 )
 
 # A two-level table: piece-square bitboard -> line occupancy bitboard -> attacks.
 AttackTable = dict[int, dict[int, int]]
+
+# 8x256 first-rank attack bytes indexed by [position in line][occupancy byte].
+LineAttackArrays = tuple[tuple[int, ...], ...]
 
 # Diagonal square lists in walk order, northeast (a1-h8 direction) first.
 NE_DIAGONALS: tuple[tuple[Bitboard, ...], ...] = (
@@ -134,32 +140,44 @@ def build_masks() -> MaskTables:
     )
 
 
-def build_rank_attacks() -> AttackTable:
-    """Rank table: walk the first rank, then shift each entry up rank by rank.
+def build_line_attack_bytes() -> LineAttackArrays:
+    """The first-rank walk: [mover position 0..7][occupancy byte] -> attack byte.
 
     For each of the 8 first-rank squares and each of the 256 occupancy bytes,
-    the attack set extends square by square toward h and toward a, stopping
-    after the first occupied square in each direction.  Moving everything up
-    one rank is a multiplication by 256, applied to piece key, occupancy key
-    and value alike, which fills in the remaining 56 squares.
+    the attack set extends square by square in both directions, stopping
+    after the first occupied square in each.  The rank table shifts these
+    rows up the board; the rotated baseline indexes them as they are.
     """
-    table: AttackTable = {}
-    for i in range(8):
-        for r in range(8):
-            table[1 << (i + 8 * r)] = {}
+    table = []
+    for pos in range(8):
+        row = []
         for occ in range(256):
             attacks = 0
-            for toward_h in range(i - 1, -1, -1):
-                attacks |= 1 << toward_h
-                if occ & (1 << toward_h):
+            for ahead in range(pos + 1, 8):
+                attacks |= 1 << ahead
+                if occ & (1 << ahead):
                     break
-            for toward_a in range(i + 1, 8):
-                attacks |= 1 << toward_a
-                if occ & (1 << toward_a):
+            for behind in range(pos - 1, -1, -1):
+                attacks |= 1 << behind
+                if occ & (1 << behind):
                     break
-            table[1 << i][occ] = attacks
-            for r in range(1, 8):
-                table[1 << (i + 8 * r)][occ << (8 * r)] = attacks << (8 * r)
+            row.append(attacks)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def build_rank_attacks() -> AttackTable:
+    """Rank table: the first-rank walk, shifted up rank by rank.
+
+    Moving everything up one rank is a multiplication by 256, applied to
+    piece key, occupancy key and value alike, which fills in the remaining
+    56 squares from the first rank's 8 x 256 entries.
+    """
+    table: AttackTable = {}
+    for i, row in enumerate(build_line_attack_bytes()):
+        for r in range(8):
+            up = 8 * r
+            table[1 << (i + up)] = {occ << up: attacks << up for occ, attacks in enumerate(row)}
     return table
 
 
@@ -241,14 +259,6 @@ def build_attack_table(square_lists: tuple[tuple[Bitboard, ...], ...]) -> Attack
     return table
 
 
-def build_diag_attacks_ne() -> AttackTable:
-    return build_attack_table(NE_DIAGONALS)
-
-
-def build_diag_attacks_nw() -> AttackTable:
-    return build_attack_table(NW_DIAGONALS)
-
-
 def build_rank_attacks_generalized() -> AttackTable:
     """Rank table via the generalized builder; identical to build_rank_attacks."""
     table = build_attack_table(RANK_LINES)
@@ -281,8 +291,8 @@ def build_attack_tables() -> AttackTables:
     return AttackTables(
         rank_attacks=rank_attacks,
         file_attacks=build_file_attacks(rank_attacks),
-        diag_attacks_ne=build_diag_attacks_ne(),
-        diag_attacks_nw=build_diag_attacks_nw(),
+        diag_attacks_ne=build_attack_table(NE_DIAGONALS),
+        diag_attacks_nw=build_attack_table(NW_DIAGONALS),
         masks=build_masks(),
     )
 
@@ -292,23 +302,30 @@ def rook_attacks(tables: AttackTables, occupied: Bitboard, square: Square) -> Bi
 
     Blockers of both colours are included; the mover's own occupancy bit is
     harmless because every table stores identical values with it set or clear.
+    A square outside 0..63 raises ValueError.
     """
-    piece_bb = 1 << square
-    masks = tables.masks
-    return (
-        tables.rank_attacks[piece_bb][occupied & masks.rank[square]]
-        | tables.file_attacks[piece_bb][occupied & masks.file[square]]
-    )
+    try:
+        piece_bb = 1 << square
+        masks = tables.masks
+        return (
+            tables.rank_attacks[piece_bb][occupied & masks.rank[square]]
+            | tables.file_attacks[piece_bb][occupied & masks.file[square]]
+        )
+    except (KeyError, IndexError, ValueError):
+        raise off_board(square) from None
 
 
 def bishop_attacks(tables: AttackTables, occupied: Bitboard, square: Square) -> Bitboard:
     """Bishop attacks from *square*: northeast lookup OR northwest lookup."""
-    piece_bb = 1 << square
-    masks = tables.masks
-    return (
-        tables.diag_attacks_ne[piece_bb][occupied & masks.diag_ne[square]]
-        | tables.diag_attacks_nw[piece_bb][occupied & masks.diag_nw[square]]
-    )
+    try:
+        piece_bb = 1 << square
+        masks = tables.masks
+        return (
+            tables.diag_attacks_ne[piece_bb][occupied & masks.diag_ne[square]]
+            | tables.diag_attacks_nw[piece_bb][occupied & masks.diag_nw[square]]
+        )
+    except (KeyError, IndexError, ValueError):
+        raise off_board(square) from None
 
 
 def queen_attacks(tables: AttackTables, occupied: Bitboard, square: Square) -> Bitboard:

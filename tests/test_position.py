@@ -97,6 +97,27 @@ def test_pawn_on_back_rank_rejected():
             parse_fen(fen)
 
 
+def test_side_not_to_move_in_check_rejected():
+    for fen in (
+        "4k3/8/8/8/8/8/4R3/4K3 w - -",  # rook on the open e file
+        "4k3/8/3N4/8/8/8/8/4K3 w - -",  # knight
+        "4k3/3P4/8/8/8/8/8/4K3 w - -",  # white pawn attacks up the board
+        "4k3/8/8/8/8/8/3p4/4K3 b - -",  # black pawn attacks down the board
+        "4k3/8/8/1B6/8/8/8/4K3 w - -",  # bishop
+        "8/8/8/8/8/8/8/3kK3 b - -",  # touching kings
+    ):
+        with pytest.raises(FenError, match="field 2"):
+            parse_fen(fen)
+    # The side to move may be in check, a blocked line gives no check, and no king means no check.
+    for fen in (
+        "4k3/8/8/8/8/8/4R3/4K3 b - -",
+        "4k3/4p3/8/8/8/8/4R3/4K3 w - -",
+        "4k3/5P2/8/8/8/8/8/4K3 b - -",
+        "8/8/8/8/8/8/8/R3K3 w - -",
+    ):
+        parse_fen(fen)
+
+
 def test_ep_square_accepted_on_correct_rank():
     pos = parse_fen("rnbqkbnr/pppppppp/8/8/4P3/8/PPPP1PPP/RNBQKBNR b KQkq e3")
     assert pos.ep_square == square_index("e3")

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from chesslut.bitboard import (
     A2, A8, B3, C4, D4, D5, E6, G1, H1, H2,
     bit_index,
@@ -157,3 +159,25 @@ def test_backends_agree_with_oracle_on_random_boards(attack_tables, rotation):
         assert queen_attacks_rotated(state, maps, arrays, sq) == queen_attacks(
             attack_tables, occ, sq
         )
+
+
+@pytest.mark.parametrize("square", [-1, 64])
+@pytest.mark.parametrize(
+    "query",
+    [
+        rook_attacks,
+        bishop_attacks,
+        queen_attacks,
+        rook_attacks_rotated,
+        bishop_attacks_rotated,
+        queen_attacks_rotated,
+    ],
+)
+def test_off_board_square_raises_named_error(attack_tables, rotation, query, square):
+    maps, arrays = rotation
+    if query in (rook_attacks, bishop_attacks, queen_attacks):
+        args = (attack_tables, 0)
+    else:
+        args = (make_rotated_state(0, maps), maps, arrays)
+    with pytest.raises(ValueError, match=f"square {square} is off the board"):
+        query(*args, square)

@@ -1,8 +1,14 @@
+import dataclasses
+import hashlib
 import io
 
 import pytest
 
 from chesslut.store import MAGIC, TableLoadError, load_tables, save_tables
+
+
+# sha256 of save_tables(build_attack_tables()): pins the table contents and their key order.
+TABLE_FILE_SHA256 = "2ca30b60ac14d83faad1a26f9aaee5cbe2c90fa427d85a3cc7da3b3321e34c02"
 
 
 def saved_bytes(attack_tables) -> bytes:
@@ -73,3 +79,42 @@ def test_corrupted_payload_fails_checksum(attack_tables):
 
 def test_magic_prefix_is_stable(attack_tables):
     assert saved_bytes(attack_tables)[:8] == MAGIC
+
+
+def test_saved_file_digest_is_pinned(attack_tables):
+    data = saved_bytes(attack_tables)
+    assert len(data) == 1_034_528
+    assert hashlib.sha256(data).hexdigest() == TABLE_FILE_SHA256
+
+
+def _zero_values(table):
+    for entries in table.values():
+        for occ_key in entries:
+            entries[occ_key] = 0
+
+
+@pytest.mark.parametrize(
+    "field, mutate",
+    [
+        pytest.param("rank_attacks", lambda table: table[1].pop(0), id="rank-entry-dropped"),
+        pytest.param("rank_attacks", _zero_values, id="rank-values-zeroed"),
+        pytest.param("file_attacks", lambda table: table.pop(1), id="file-mover-dropped"),
+        pytest.param("diag_attacks_ne", lambda table: table.pop(0), id="ne-base-entry-dropped"),
+        pytest.param("diag_attacks_nw", _zero_values, id="nw-values-zeroed"),
+    ],
+)
+def test_checksum_valid_but_malformed_table_rejected(attack_tables, field, mutate):
+    table = {piece: dict(entries) for piece, entries in getattr(attack_tables, field).items()}
+    mutate(table)
+    data = saved_bytes(dataclasses.replace(attack_tables, **{field: table}))
+    with pytest.raises(TableLoadError, match=f"bad structure in {field}"):
+        load_tables(io.BytesIO(data))
+
+
+def test_checksum_valid_but_wrong_mask_rejected(attack_tables):
+    file_masks = list(attack_tables.masks.file)
+    file_masks[0] = 0
+    masks = dataclasses.replace(attack_tables.masks, file=tuple(file_masks))
+    data = saved_bytes(dataclasses.replace(attack_tables, masks=masks))
+    with pytest.raises(TableLoadError, match="bad structure in masks.file"):
+        load_tables(io.BytesIO(data))
