@@ -133,6 +133,8 @@ def describe_environment() -> str:
 def run_bench(config: BenchConfig, tables: AttackTables | None = None) -> BenchReport:
     if config.repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    if config.warmup < 0:
+        raise ValueError("warmup must be >= 0")
     if not config.backends:
         raise ValueError("at least one backend must be selected")
     for name in config.backends:

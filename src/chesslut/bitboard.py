@@ -99,6 +99,39 @@ def squares_of(bb: Bitboard) -> Iterator[Square]:
         bb &= bb - 1
 
 
+def _leaper_table(steps: tuple[tuple[int, int], ...]) -> tuple[Bitboard, ...]:
+    """Squares one (file, rank) step away from each square, off-board steps dropped."""
+    table = []
+    for sq in range(64):
+        f, r = file_of(sq), rank_of(sq)
+        bb = 0
+        for df, dr in steps:
+            nf, nr = f + df, r + dr
+            if 0 <= nf <= 7 and 0 <= nr <= 7:
+                bb |= 1 << make_square(nf, nr)
+        table.append(bb)
+    return tuple(table)
+
+
+# (file_step, rank_step) offsets of knight and king moves.
+_KNIGHT_STEPS = ((1, 2), (2, 1), (2, -1), (1, -2), (-1, -2), (-2, -1), (-2, 1), (-1, 2))
+_KING_STEPS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
+
+
+def build_leaper_tables() -> tuple[tuple[Bitboard, ...], tuple[Bitboard, ...]]:
+    """(knight, king) attack bitboards for all 64 squares."""
+    return _leaper_table(_KNIGHT_STEPS), _leaper_table(_KING_STEPS)
+
+
+KNIGHT_ATTACKS, KING_ATTACKS = build_leaper_tables()
+
+# Pawn capture patterns by colour, white first; the other colour's row gives the attackers.
+PAWN_ATTACKS = (
+    _leaper_table(((1, 1), (-1, 1))),
+    _leaper_table(((1, -1), (-1, -1))),
+)
+
+
 def pretty(bb: Bitboard) -> str:
     """ASCII diagram, rank 8 on top, files a-h left to right."""
     rows = []

@@ -94,6 +94,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise ValueError("trials must be >= 1")
     tables = _load_or_build_tables(args.tables)
     maps = build_rotation_maps()
     arrays = build_line_attack_bytes()

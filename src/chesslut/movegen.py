@@ -14,13 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Protocol
 
-from .bitboard import Bitboard, Square, file_of, make_square, rank_of, square_index, square_name
+from .bitboard import KING_ATTACKS, KNIGHT_ATTACKS, PAWN_ATTACKS, Bitboard, Square, square_name
+from .bitboard import build_leaper_tables as build_leaper_tables  # still importable from here
 from .position import (
     BISHOP,
-    CASTLE_BK,
-    CASTLE_BQ,
-    CASTLE_WK,
-    CASTLE_WQ,
+    BLACK,
+    CASTLING,
     KING,
     KNIGHT,
     PAWN,
@@ -60,37 +59,6 @@ class Move:
     def uci(self) -> str:
         suffix = "" if self.promotion is None else "pnbrqk"[self.promotion]
         return square_name(self.from_square) + square_name(self.to_square) + suffix
-
-
-def _leaper_table(steps: tuple[tuple[int, int], ...]) -> tuple[Bitboard, ...]:
-    table = []
-    for sq in range(64):
-        f, r = file_of(sq), rank_of(sq)
-        bb = 0
-        for df, dr in steps:
-            nf, nr = f + df, r + dr
-            if 0 <= nf <= 7 and 0 <= nr <= 7:
-                bb |= 1 << make_square(nf, nr)
-        table.append(bb)
-    return tuple(table)
-
-
-_KNIGHT_STEPS = ((1, 2), (2, 1), (2, -1), (1, -2), (-1, -2), (-2, -1), (-2, 1), (-1, 2))
-_KING_STEPS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
-
-
-def build_leaper_tables() -> tuple[tuple[Bitboard, ...], tuple[Bitboard, ...]]:
-    """(knight, king) attack bitboards for all 64 squares."""
-    return _leaper_table(_KNIGHT_STEPS), _leaper_table(_KING_STEPS)
-
-
-KNIGHT_ATTACKS, KING_ATTACKS = build_leaper_tables()
-
-# Capture patterns per color; also used inverted for attacked-square tests.
-PAWN_ATTACKS = (
-    _leaper_table(((1, 1), (-1, 1))),
-    _leaper_table(((1, -1), (-1, -1))),
-)
 
 
 class AttackBackend(Protocol):
@@ -185,37 +153,16 @@ def is_square_attacked(
     return False
 
 
-def _resolve(names: tuple[str, ...]) -> tuple[int, ...]:
-    return tuple(square_index(n) for n in names)
+# Each colour's rights, and each castle's rook move keyed by (colour, king to-square).
+_CASTLING_RULES = tuple(tuple(right for right in CASTLING if right.color == color) for color in (WHITE, BLACK))
 
+_CASTLE_ROOK_MOVES = {(right.color, right.king_to): (right.rook_from, right.rook_to) for right in CASTLING}
 
-# (flag, king from, king to, rook from, rook to, squares that must be empty,
-#  squares that must not be attacked), per color.
-_CASTLING_RULES: tuple[tuple[tuple, ...], ...] = (
-    (
-        (CASTLE_WK, *_resolve(("e1", "g1", "h1", "f1")), _resolve(("f1", "g1")), _resolve(("e1", "f1", "g1"))),
-        (CASTLE_WQ, *_resolve(("e1", "c1", "a1", "d1")), _resolve(("b1", "c1", "d1")), _resolve(("e1", "d1", "c1"))),
-    ),
-    (
-        (CASTLE_BK, *_resolve(("e8", "g8", "h8", "f8")), _resolve(("f8", "g8")), _resolve(("e8", "f8", "g8"))),
-        (CASTLE_BQ, *_resolve(("e8", "c8", "a8", "d8")), _resolve(("b8", "c8", "d8")), _resolve(("e8", "d8", "c8"))),
-    ),
+# Castling rights that survive a move touching each square: a right is lost
+# when its king's or its rook's from-square is touched.
+_RIGHTS_MASK = tuple(
+    sum(right.flag for right in CASTLING if sq not in (right.king_from, right.rook_from)) for sq in range(64)
 )
-
-_CASTLE_ROOK_MOVES = {
-    (color, rule[2]): (rule[3], rule[4])
-    for color, rules in enumerate(_CASTLING_RULES)
-    for rule in rules
-}
-
-# Castling rights that survive a move touching each square.
-_RIGHTS_MASK = [CASTLE_WK | CASTLE_WQ | CASTLE_BK | CASTLE_BQ] * 64
-_RIGHTS_MASK[square_index("e1")] &= ~(CASTLE_WK | CASTLE_WQ)
-_RIGHTS_MASK[square_index("h1")] &= ~CASTLE_WK
-_RIGHTS_MASK[square_index("a1")] &= ~CASTLE_WQ
-_RIGHTS_MASK[square_index("e8")] &= ~(CASTLE_BK | CASTLE_BQ)
-_RIGHTS_MASK[square_index("h8")] &= ~CASTLE_BK
-_RIGHTS_MASK[square_index("a8")] &= ~CASTLE_BQ
 
 
 def generate_pseudo_legal(
@@ -299,19 +246,12 @@ def generate_pseudo_legal(
         sq = king.bit_length() - 1
         emit(sq, KING, KING_ATTACKS[sq] & ~own)
         if position.castling:
-            for flag, king_from, king_to, _rf, _rt, must_be_empty, must_be_safe in _CASTLING_RULES[us]:
-                if not position.castling & flag:
+            for right in _CASTLING_RULES[us]:
+                if not position.castling & right.flag or occupied & right.must_be_empty:
                     continue
-                blocked = False
-                for empty_sq in must_be_empty:
-                    if occupied & (1 << empty_sq):
-                        blocked = True
-                        break
-                if blocked:
+                if any(is_square_attacked(position, s, them, backend, context) for s in right.must_be_safe):
                     continue
-                if any(is_square_attacked(position, s, them, backend, context) for s in must_be_safe):
-                    continue
-                add(Move(king_from, king_to, KING, CASTLE))
+                add(Move(right.king_from, right.king_to, KING, CASTLE))
 
     return moves
 

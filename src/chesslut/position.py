@@ -8,8 +8,11 @@ an optional en-passant target square.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .bitboard import Bitboard, Square, file_of, make_square, rank_of, square_index, square_name
+from .bitboard import (
+    KING_ATTACKS, KNIGHT_ATTACKS, PAWN_ATTACKS, Bitboard, Square, make_square, square_index, square_name,
+)
 from .rays import bishop_rays, rook_rays
 
 WHITE, BLACK = 0, 1
@@ -24,9 +27,37 @@ STARTING_FEN = "rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq - 0 1"
 
 _BACK_RANKS: Bitboard = 0xFF | 0xFF << 56
 
-# (file_step, rank_step) offsets of knight and king moves.
-_KNIGHT_STEPS = ((1, 2), (2, 1), (2, -1), (1, -2), (-1, -2), (-2, -1), (-2, 1), (-1, 2))
-_KING_STEPS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
+
+class CastlingRight(NamedTuple):
+    """One castling right and the squares it involves."""
+
+    flag: int
+    letter: str  # its FEN letter
+    color: int
+    king_from: Square
+    king_to: Square
+    rook_from: Square
+    rook_to: Square
+    must_be_empty: Bitboard
+    must_be_safe: tuple[Square, ...]  # not attacked: the king's start, path and landing
+
+
+def _squares(names: str) -> tuple[Square, ...]:
+    return tuple(square_index(name) for name in names.split())
+
+
+# One row per right, in FEN order; every other castling table is derived from these.
+CASTLING: tuple[CastlingRight, ...] = tuple(
+    CastlingRight(
+        flag, letter, color, *_squares(king_and_rook), sum(1 << sq for sq in _squares(empty)), _squares(safe)
+    )
+    for flag, letter, color, king_and_rook, empty, safe in (
+        (CASTLE_WK, "K", WHITE, "e1 g1 h1 f1", "f1 g1", "e1 f1 g1"),
+        (CASTLE_WQ, "Q", WHITE, "e1 c1 a1 d1", "b1 c1 d1", "e1 d1 c1"),
+        (CASTLE_BK, "k", BLACK, "e8 g8 h8 f8", "f8 g8", "e8 f8 g8"),
+        (CASTLE_BQ, "q", BLACK, "e8 c8 a8 d8", "b8 c8 d8", "e8 d8 c8"),
+    )
+)
 
 
 class FenError(ValueError):
@@ -127,17 +158,6 @@ def _check_ep_square(ep: Square, side: int, boards: list[Bitboard]) -> None:
         )
 
 
-def _step_targets(square: Square, steps: tuple[tuple[int, int], ...]) -> Bitboard:
-    """Squares one (file, rank) step away from *square*, off-board steps dropped."""
-    file_index, rank_index = file_of(square), rank_of(square)
-    targets = 0
-    for file_step, rank_step in steps:
-        f, r = file_index + file_step, rank_index + rank_step
-        if 0 <= f <= 7 and 0 <= r <= 7:
-            targets |= 1 << make_square(f, r)
-    return targets
-
-
 def _check_waiting_king(side: int, boards: list[Bitboard]) -> None:
     """The side not to move has just moved, so its king cannot be in check."""
     king = boards[(1 - side) * 6 + KING]
@@ -148,13 +168,12 @@ def _check_waiting_king(side: int, boards: list[Bitboard]) -> None:
     for board in boards:
         occupied |= board
     movers = boards[side * 6 : side * 6 + 6]
-    pawn_rank_step = -1 if side == WHITE else 1  # the attacking pawn stands behind the king
     checkers = (
         rook_rays(occupied, square) & (movers[ROOK] | movers[QUEEN])
         | bishop_rays(occupied, square) & (movers[BISHOP] | movers[QUEEN])
-        | _step_targets(square, _KNIGHT_STEPS) & movers[KNIGHT]
-        | _step_targets(square, ((-1, pawn_rank_step), (1, pawn_rank_step))) & movers[PAWN]
-        | _step_targets(square, _KING_STEPS) & movers[KING]
+        | KNIGHT_ATTACKS[square] & movers[KNIGHT]
+        | PAWN_ATTACKS[1 - side][square] & movers[PAWN]
+        | KING_ATTACKS[square] & movers[KING]
     )
     if checkers:
         names = ("white", "black")
@@ -164,12 +183,7 @@ def _check_waiting_king(side: int, boards: list[Bitboard]) -> None:
         )
 
 
-_CASTLE_REQUIREMENTS = {
-    "K": (CASTLE_WK, WHITE, square_index("e1"), square_index("h1")),
-    "Q": (CASTLE_WQ, WHITE, square_index("e1"), square_index("a1")),
-    "k": (CASTLE_BK, BLACK, square_index("e8"), square_index("h8")),
-    "q": (CASTLE_BQ, BLACK, square_index("e8"), square_index("a8")),
-}
+_CASTLE_REQUIREMENTS = {right.letter: right for right in CASTLING}
 
 
 def _parse_castling_field(field: str, boards: list[Bitboard]) -> int:
@@ -179,14 +193,15 @@ def _parse_castling_field(field: str, boards: list[Bitboard]) -> int:
     for ch in field:
         if ch not in _CASTLE_REQUIREMENTS:
             raise FenError(f"unknown castling flag {ch!r} (field 3)")
-        flag, color, king_sq, rook_sq = _CASTLE_REQUIREMENTS[ch]
-        if mask & flag:
+        right = _CASTLE_REQUIREMENTS[ch]
+        if mask & right.flag:
             raise FenError(f"duplicate castling flag {ch!r} (field 3)")
-        if not boards[color * 6 + KING] & (1 << king_sq):
+        king_sq, rook_sq = right.king_from, right.rook_from
+        if not boards[right.color * 6 + KING] & (1 << king_sq):
             raise FenError(f"castling flag {ch!r} but king is not on {square_name(king_sq)} (field 3)")
-        if not boards[color * 6 + ROOK] & (1 << rook_sq):
+        if not boards[right.color * 6 + ROOK] & (1 << rook_sq):
             raise FenError(f"castling flag {ch!r} but no rook on {square_name(rook_sq)} (field 3)")
-        mask |= flag
+        mask |= right.flag
     return mask
 
 
@@ -246,9 +261,7 @@ def serialize_fen(position: Position) -> str:
             row += str(empty)
         rows.append(row)
 
-    castling = "".join(
-        ch for ch, (flag, *_rest) in _CASTLE_REQUIREMENTS.items() if position.castling & flag
-    )
+    castling = "".join(right.letter for right in CASTLING if position.castling & right.flag)
     return " ".join(
         (
             "/".join(rows),

@@ -18,12 +18,16 @@ A lookup extracts the line's occupancy byte, indexes the 8x256 first-rank
 attack array with the mover's position in the line, and maps the attacked
 line positions back to board squares.  That array is
 ``tables.build_line_attack_bytes``, the same first-rank walk the direct
-rank table is shifted up from.  Ranks and files need no per-square layout:
-the rank byte sits at 8 * rank in the main board and the file byte at
-8 * (in-rank offset) in the 90 degree board, so only the diagonals carry a
-``LineLayout``.  Occupancy bytes of short diagonals are zero padded above
-the line length; the padding can never block anything, and map-back
-ignores positions past the line end.
+rank table is shifted up from.  Ranks and files need no per-square layout
+and map back without a loop.  The rank byte sits at 8 * rank in the main
+board, so its attack byte shifts straight back up.  The file byte sits at
+8 * (in-rank offset) in the 90 degree board; its attack byte is reflected
+onto the h file through ``tables.RANK_TO_FILE``, the a8-h1 reflection the
+direct file table is built with, and shifted across to the mover's file.
+Only the diagonals carry a ``LineLayout`` and map back square by square.
+Occupancy bytes of short diagonals are zero padded above the line length;
+the padding can never block anything, and map-back ignores positions past
+the line end.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitboard import Bitboard, Square, off_board
-from .tables import NE_DIAGONALS, NW_DIAGONALS, LineAttackArrays
+from .tables import NE_DIAGONALS, NW_DIAGONALS, RANK_TO_FILE, LineAttackArrays
 from .tables import build_line_attack_bytes as build_line_attack_bytes  # the baseline's byte array
 
 
@@ -52,7 +56,6 @@ class RotationMaps:
     r90: tuple[int, ...]  # square -> bit index in the 90 degree board
     r45_ne: tuple[int, ...]
     r45_nw: tuple[int, ...]
-    file_squares: tuple[tuple[Bitboard, ...], ...]  # square -> its file, rank 1 first
     ne_line: LineLayout
     nw_line: LineLayout
 
@@ -81,10 +84,6 @@ def build_rotation_maps() -> RotationMaps:
     """Build all three square remappings and the per-square line data."""
     # 90 degrees: (rank r, in-rank offset o) -> (rank o, in-rank offset r).
     r90 = tuple(8 * (sq & 7) + (sq >> 3) for sq in range(64))
-    # Bit k of a file's byte in the 90 degree board is the square on rank k + 1.
-    file_squares = tuple(
-        tuple(1 << (8 * k + (sq & 7)) for k in range(8)) for sq in range(64)
-    )
     ne_map, ne_line = _diagonal_layout(NE_DIAGONALS)
     nw_map, nw_line = _diagonal_layout(NW_DIAGONALS)
 
@@ -92,7 +91,6 @@ def build_rotation_maps() -> RotationMaps:
         r90=r90,
         r45_ne=tuple(ne_map),
         r45_nw=tuple(nw_map),
-        file_squares=file_squares,
         ne_line=ne_line,
         nw_line=nw_line,
     )
@@ -177,7 +175,7 @@ def rook_attacks_rotated(
         rank_occ = (state.occ >> (8 * r)) & 0xFF
         attacks = arrays[o][rank_occ] << (8 * r)  # the rank byte is already board-aligned
         file_occ = (state.occ90 >> (8 * o)) & 0xFF
-        return attacks | _map_line(arrays[r][file_occ], maps.file_squares[square])
+        return attacks | RANK_TO_FILE[arrays[r][file_occ]] << o
     except (KeyError, IndexError, ValueError):
         raise off_board(square) from None
 

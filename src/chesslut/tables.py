@@ -194,11 +194,15 @@ def rank_to_file(value: int) -> Bitboard:
     return out
 
 
+# rank_to_file of every first-rank byte: the reflection as a lookup.
+RANK_TO_FILE: tuple[Bitboard, ...] = tuple(rank_to_file(byte) for byte in range(256))
+
+
 def build_file_attacks(rank_attacks: AttackTable) -> AttackTable:
     """File table derived from the rank table by a 90 degree reflection.
 
     Every square's rank entries are projected down to the first rank,
-    pushed through rank_to_file, and shifted to the destination file.
+    reflected through RANK_TO_FILE, and shifted to the destination file.
     Requires a fully built rank table.
     """
     if not rank_attacks:
@@ -206,13 +210,11 @@ def build_file_attacks(rank_attacks: AttackTable) -> AttackTable:
     table: AttackTable = {}
     for i in range(64):
         r = i >> 3
-        piece_key = rank_to_file((1 << i) >> (8 * r)) << r
-        entries: dict[int, int] = {}
-        table[piece_key] = entries
-        for occ in range(256):
-            occ_key = rank_to_file(occ) << r
-            value = rank_attacks[1 << i][occ << (8 * r)]
-            entries[occ_key] = rank_to_file(value >> (8 * r)) << r
+        up = 8 * r
+        row = rank_attacks[1 << i]
+        table[RANK_TO_FILE[1 << (i & 7)] << r] = {
+            RANK_TO_FILE[occ] << r: RANK_TO_FILE[row[occ << up] >> up] << r for occ in range(256)
+        }
     return table
 
 

@@ -119,6 +119,8 @@ def test_run_bench_single_backend(corpus_file, attack_tables):
 def test_run_bench_validates_config(corpus_file):
     with pytest.raises(ValueError, match="repetitions"):
         run_bench(BenchConfig(corpus_path=corpus_file, repetitions=0))
+    with pytest.raises(ValueError, match="warmup"):
+        run_bench(BenchConfig(corpus_path=corpus_file, warmup=-3))
     with pytest.raises(ValueError, match="backend"):
         run_bench(BenchConfig(corpus_path=corpus_file, backends=()))
     with pytest.raises(ValueError, match="unknown backend"):

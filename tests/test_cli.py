@@ -144,3 +144,12 @@ def test_bench_saved_tables_roundtrip(small_corpus, tmp_path, capsys):
 def test_verify_reports_zero_mismatches(capsys):
     assert main(["verify", "--trials", "60", "--seed", "2"]) == 0
     assert "60 trials, 0 mismatches" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_without_trials_fails(capsys, trials):
+    # A check that checked nothing must not report success.
+    assert main(["verify", "--trials", trials]) == 1
+    captured = capsys.readouterr()
+    assert "trials must be >= 1" in captured.err
+    assert "mismatches" not in captured.out

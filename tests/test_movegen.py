@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_engine import ref_legal_moves, ref_move_uci, ref_parse_fen, ref_perft
@@ -25,11 +26,16 @@ from chesslut.movegen import (
 )
 from chesslut.position import (
     BLACK,
+    CASTLE_BK,
+    CASTLE_BQ,
+    CASTLE_WK,
+    CASTLE_WQ,
     KNIGHT,
     PAWN,
     QUEEN,
     ROOK,
     WHITE,
+    Position,
     parse_fen,
     serialize_fen,
     startpos,
@@ -164,6 +170,67 @@ def test_castling_blocked_through_attacked_square(direct_backend):
     # Black rook covers f1, so kingside castling must not be generated.
     pos = parse_fen("4kr2/8/8/8/8/8/8/4K2R w K -")
     assert not any(m.kind == CASTLE for m in generate_pseudo_legal(pos, direct_backend))
+
+
+ALL_RIGHTS = "r3k2r/8/8/8/8/8/8/R3K2R {side} KQkq -"
+
+
+@pytest.mark.parametrize(
+    "flag, side, castle, rook_to, must_be_empty, must_be_safe, may_be_attacked, king_step, rook_step",
+    [
+        (CASTLE_WK, "w", "e1g1", "f1", "f1 g1", "e1 f1 g1", "", "e1e2", "h1h2"),
+        (CASTLE_WQ, "w", "e1c1", "d1", "b1 c1 d1", "e1 d1 c1", "b1", "e1e2", "a1a2"),
+        (CASTLE_BK, "b", "e8g8", "f8", "f8 g8", "e8 f8 g8", "", "e8e7", "h8h7"),
+        (CASTLE_BQ, "b", "e8c8", "d8", "b8 c8 d8", "e8 d8 c8", "b8", "e8e7", "a8a7"),
+    ],
+)
+def test_castling_rules_for_each_right(
+    direct_backend, rotated_backend, flag, side, castle, rook_to,
+    must_be_empty, must_be_safe, may_be_attacked, king_step, rook_step,
+):
+    base = parse_fen(ALL_RIGHTS.format(side=side))
+    us = base.side_to_move
+    own_rights = CASTLE_WK | CASTLE_WQ if us == WHITE else CASTLE_BK | CASTLE_BQ
+
+    def add(color, piece, name):
+        pieces = list(base.pieces)
+        pieces[color * 6 + piece] |= 1 << square_index(name)
+        return parse_fen(serialize_fen(Position(tuple(pieces), us, base.castling, None)))
+
+    def castles(pos):
+        direct, rotated = (
+            castle in uci_set(generate_pseudo_legal(pos, backend)) for backend in (direct_backend, rotated_backend)
+        )
+        assert direct == rotated
+        return direct
+
+    def play(uci):
+        return make_move(base, next(m for m in generate_legal(base, direct_backend) if m.uci() == uci))
+
+    # On an open board the king castles and the rook lands beside it.
+    assert castles(base)
+    child = play(castle)
+    assert child.king_square(us) == square_index(castle[2:])
+    assert child.piece_bb(us, ROOK) & (1 << square_index(rook_to))
+    assert child.piece_bb(us, ROOK).bit_count() == 2
+    assert child.castling == 0b1111 & ~own_rights
+
+    # A piece of either colour on any square between king and rook blocks it.
+    for name in must_be_empty.split():
+        for color in (WHITE, BLACK):
+            assert not castles(add(color, KNIGHT, name)), (name, color)
+
+    # An enemy rook attacking the king's start, path or landing square blocks it;
+    # one attacking only b1/b8, which the king never crosses, does not.
+    rook_rank = "4" if us == WHITE else "5"
+    for name in must_be_safe.split():
+        assert not castles(add(1 - us, ROOK, name[0] + rook_rank)), name
+    for name in may_be_attacked.split():
+        assert castles(add(1 - us, ROOK, name[0] + rook_rank)), name
+
+    # A king move loses both of its colour's rights; a rook move loses only its own.
+    assert play(king_step).castling == 0b1111 & ~own_rights
+    assert play(rook_step).castling == 0b1111 & ~flag
 
 
 def test_promotion_generates_four_pieces(direct_backend):
