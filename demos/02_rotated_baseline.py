@@ -33,8 +33,7 @@ for label, board in (
 
 print("\nA file lookup needs shift + mask + byte table + map back to board squares:")
 a1 = square_index("a1")
-o = a1 & 7
-file_byte = (state.occ90 >> (8 * o)) & 0xFF
+file_byte = (state.occ90 >> maps.file_line.shift[a1]) & 0xFF
 print(f"  a-file occupancy byte from the rotated board: {file_byte:#04x}")
 attacks = rook_attacks_rotated(state, maps, arrays, a1)
 print(pretty(attacks))

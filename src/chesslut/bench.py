@@ -83,7 +83,7 @@ def load_corpus(
     err = err if err is not None else sys.stderr
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CorpusError(f"cannot read corpus: {exc}") from exc
 
     entries: list[tuple[Position, str | None]] = []

@@ -8,26 +8,22 @@ Layouts:
 
 * 90 degrees: reflection across the a8-h1 line (g1 -> h2, f1 -> h3, squares
   on that line are fixed points).  Each file of the real board becomes one
-  byte of the rotated board.
+  byte of the rotated board, the h file lowest.
 * 45 degrees (northeast and northwest): diagonals packed back to back in
   the same order the diagonal attack tables enumerate them (northeast
   starts at h1, northwest at a1), each diagonal occupying a run of bits at
   its prefix-sum offset.
 
-A lookup extracts the line's occupancy byte, indexes the 8x256 first-rank
-attack array with the mover's position in the line, and maps the attacked
-line positions back to board squares.  That array is
-``tables.build_line_attack_bytes``, the same first-rank walk the direct
-rank table is shifted up from.  Ranks and files need no per-square layout
-and map back without a loop.  The rank byte sits at 8 * rank in the main
-board, so its attack byte shifts straight back up.  The file byte sits at
-8 * (in-rank offset) in the 90 degree board; its attack byte is reflected
-onto the h file through ``tables.RANK_TO_FILE``, the a8-h1 reflection the
-direct file table is built with, and shifted across to the mover's file.
-Only the diagonals carry a ``LineLayout`` and map back square by square.
-Occupancy bytes of short diagonals are zero padded above the line length;
-the padding can never block anything, and map-back ignores positions past
-the line end.
+Every line family, ranks of the main board included, has one
+``LineLayout``: per square, the bit offset of its line, its position in the
+line and the line's ``tables.line_to_board`` table.  A lookup is the same
+for all four: shift the line's occupancy byte down, index the 8x256
+first-rank attack array with the mover's position, and map the attack byte
+back to board squares through the line's table, in one tuple lookup.  That
+array is ``tables.build_line_attack_bytes``, the walk the direct tables are
+built from.  The byte of a short diagonal also holds bits of the next
+diagonal above the line's end; those can only cut attacks off past that
+end, and the line's table maps every bit past the end to no square.
 """
 
 from __future__ import annotations
@@ -35,18 +31,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitboard import Bitboard, Square, off_board
-from .tables import NE_DIAGONALS, NW_DIAGONALS, RANK_TO_FILE, LineAttackArrays
+from .tables import FILE_LINES, NE_DIAGONALS, NW_DIAGONALS, RANK_LINES, LineAttackArrays, line_to_board
 from .tables import build_line_attack_bytes as build_line_attack_bytes  # the baseline's byte array
 
 
 @dataclass(frozen=True)
 class LineLayout:
-    """Where each square's diagonal lives inside one 45 degree board."""
+    """Where each square's line lives inside one occupancy board."""
 
     shift: tuple[int, ...]  # bit offset of the square's line
-    length: tuple[int, ...]  # number of squares on the line
     pos: tuple[int, ...]  # the square's position within the line
-    squares: tuple[tuple[Bitboard, ...], ...]  # line squares in position order
+    board: tuple[tuple[Bitboard, ...], ...]  # the line's line_to_board table
 
 
 @dataclass(frozen=True)
@@ -56,44 +51,40 @@ class RotationMaps:
     r90: tuple[int, ...]  # square -> bit index in the 90 degree board
     r45_ne: tuple[int, ...]
     r45_nw: tuple[int, ...]
+    rank_line: LineLayout
+    file_line: LineLayout
     ne_line: LineLayout
     nw_line: LineLayout
 
 
-def _diagonal_layout(diagonals: tuple[tuple[Bitboard, ...], ...]) -> tuple[list[int], LineLayout]:
+def _line_layout(lines: tuple[tuple[Bitboard, ...], ...]) -> tuple[tuple[int, ...], LineLayout]:
+    """Pack *lines* back to back from bit 0: each square's bit, and the lines' layout."""
     mapping = [0] * 64
     shift = [0] * 64
-    length = [0] * 64
     pos = [0] * 64
-    squares: list[tuple[Bitboard, ...]] = [()] * 64
+    board: list[tuple[Bitboard, ...]] = [()] * 64
     offset = 0
-    for diagonal in diagonals:
-        for k, square_bb in enumerate(diagonal):
+    for line in lines:
+        line_board = line_to_board(line)
+        for k, square_bb in enumerate(line):
             sq = square_bb.bit_length() - 1
             mapping[sq] = offset + k
             shift[sq] = offset
-            length[sq] = len(diagonal)
             pos[sq] = k
-            squares[sq] = diagonal
-        offset += len(diagonal)
-    layout = LineLayout(tuple(shift), tuple(length), tuple(pos), tuple(squares))
-    return mapping, layout
+            board[sq] = line_board
+        offset += len(line)
+    return tuple(mapping), LineLayout(tuple(shift), tuple(pos), tuple(board))
 
 
 def build_rotation_maps() -> RotationMaps:
-    """Build all three square remappings and the per-square line data."""
-    # 90 degrees: (rank r, in-rank offset o) -> (rank o, in-rank offset r).
-    r90 = tuple(8 * (sq & 7) + (sq >> 3) for sq in range(64))
-    ne_map, ne_line = _diagonal_layout(NE_DIAGONALS)
-    nw_map, nw_line = _diagonal_layout(NW_DIAGONALS)
-
-    return RotationMaps(
-        r90=r90,
-        r45_ne=tuple(ne_map),
-        r45_nw=tuple(nw_map),
-        ne_line=ne_line,
-        nw_line=nw_line,
-    )
+    """Build all three square remappings and the four line layouts."""
+    # Ranks lie in the main board in bit order, h square first.
+    _, rank_line = _line_layout(tuple(line[::-1] for line in RANK_LINES))
+    # 90 degrees: the h file is the lowest byte, each file in rank order.
+    r90, file_line = _line_layout(FILE_LINES[::-1])
+    r45_ne, ne_line = _line_layout(NE_DIAGONALS)
+    r45_nw, nw_line = _line_layout(NW_DIAGONALS)
+    return RotationMaps(r90, r45_ne, r45_nw, rank_line, file_line, ne_line, nw_line)
 
 
 def rotate_occupancy(occ: Bitboard, mapping: tuple[int, ...]) -> Bitboard:
@@ -154,29 +145,19 @@ def toggle_square(state: RotatedState, maps: RotationMaps, square: Square) -> Ro
     return derive_rotated_state(state, state.occ ^ (1 << square), maps)
 
 
-def _map_line(attack_byte: int, line_squares: tuple[Bitboard, ...]) -> Bitboard:
-    """Map attacked line positions back to board squares."""
-    bb = 0
-    attack_byte &= (1 << len(line_squares)) - 1
-    while attack_byte:
-        low = attack_byte & -attack_byte
-        bb |= line_squares[low.bit_length() - 1]
-        attack_byte &= attack_byte - 1
-    return bb
-
-
 def rook_attacks_rotated(
     state: RotatedState, maps: RotationMaps, arrays: LineAttackArrays, square: Square
 ) -> Bitboard:
     """Rook attacks from *square*; a square outside 0..63 raises ValueError."""
-    r = square >> 3
-    o = square & 7
+    rank = maps.rank_line
+    file = maps.file_line
     try:
-        rank_occ = (state.occ >> (8 * r)) & 0xFF
-        attacks = arrays[o][rank_occ] << (8 * r)  # the rank byte is already board-aligned
-        file_occ = (state.occ90 >> (8 * o)) & 0xFF
-        return attacks | RANK_TO_FILE[arrays[r][file_occ]] << o
-    except (KeyError, IndexError, ValueError):
+        # Tuples wrap negative indices, so a negative square must fail on its own.
+        if square < 0:
+            raise IndexError(square)
+        attacks = rank.board[square][arrays[rank.pos[square]][(state.occ >> rank.shift[square]) & 0xFF]]
+        return attacks | file.board[square][arrays[file.pos[square]][(state.occ90 >> file.shift[square]) & 0xFF]]
+    except IndexError:
         raise off_board(square) from None
 
 
@@ -187,14 +168,11 @@ def bishop_attacks_rotated(
     ne = maps.ne_line
     nw = maps.nw_line
     try:
-        # Tuples wrap negative indices, so a negative square must fail on its own.
         if square < 0:
             raise IndexError(square)
-        ne_occ = (state.occ45_ne >> ne.shift[square]) & ((1 << ne.length[square]) - 1)
-        attacks = _map_line(arrays[ne.pos[square]][ne_occ], ne.squares[square])
-        nw_occ = (state.occ45_nw >> nw.shift[square]) & ((1 << nw.length[square]) - 1)
-        return attacks | _map_line(arrays[nw.pos[square]][nw_occ], nw.squares[square])
-    except (KeyError, IndexError, ValueError):
+        attacks = ne.board[square][arrays[ne.pos[square]][(state.occ45_ne >> ne.shift[square]) & 0xFF]]
+        return attacks | nw.board[square][arrays[nw.pos[square]][(state.occ45_nw >> nw.shift[square]) & 0xFF]]
+    except IndexError:
         raise off_board(square) from None
 
 

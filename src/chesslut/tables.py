@@ -12,14 +12,16 @@ A query is therefore two dict lookups and an OR:
     rank_attacks[piece_bb][occupied & rank_mask[sq]]
     | file_attacks[piece_bb][occupied & file_mask[sq]]
 
-Rank tables are built by walking the first rank and shifting the result up
-rank by rank (one rank up multiplies keys and values by 256).  That walk,
-``build_line_attack_bytes``, is the one 8x256 first-rank array in the
-package: the rotated baseline indexes the same rows.  File tables
-reuse the first-rank results, reflected across the a8-h1 line so that rank
-patterns become file patterns.  Diagonal tables, whose lines are 1 to 8
-squares long, come from a generalized builder that works on explicit square
-lists; the same builder reproduces the rank and file tables exactly.
+Every table comes from one walk: ``build_line_attack_bytes``, the 8x256
+first-rank array of attack bytes, which the rotated baseline indexes too.
+``line_to_board`` turns a line's bytes into board bitboards (bit k stands
+for the line's k-th square).  Rank tables shift the walk up rank by rank
+(one rank up multiplies keys and values by 256); file tables reflect the
+rank entries across the a8-h1 line through ``RANK_TO_FILE``, the
+``line_to_board`` table of the h file.  Diagonal tables, whose lines are 1
+to 8 squares long, come from a generalized builder that maps the walk
+through each line's ``line_to_board`` table; the same builder reproduces
+the rank and file tables exactly.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ from .bitboard import (
     Bitboard,
     Square,
     bit_index,
-    clear_lsb,
-    lsb,
     off_board,
 )
 
@@ -181,21 +181,33 @@ def build_rank_attacks() -> AttackTable:
     return table
 
 
+def line_to_board(line: tuple[Bitboard, ...]) -> tuple[Bitboard, ...]:
+    """Line occupancy byte -> board bitboard: bit k of the byte stands for line[k].
+
+    Built by doubling: step k appends a copy of the table so far with
+    line[k] added.  Bits past the end of a line shorter than 8 stand for
+    no square, so a byte's bits beyond the line are dropped.
+    """
+    if len(line) > 8:
+        raise ValueError(f"a line has at most 8 squares, got {len(line)}")
+    board = [0]
+    for k in range(8):
+        square_bb = line[k] if k < len(line) else 0
+        board += [bb | square_bb for bb in board]
+    return tuple(board)
+
+
+# The a8-h1 reflection as a lookup: first-rank byte -> h-file bitboard.
+RANK_TO_FILE: tuple[Bitboard, ...] = line_to_board(FILE_LINES[7])
+
+
 def rank_to_file(value: int) -> Bitboard:
     """Reflect a first-rank byte across the a8-h1 line onto the h file.
 
     Bit i of the input becomes bit 8*i of the output: h1 stays h1, g1 maps
     to h2, f1 to h3 and so on.
     """
-    out = 0
-    for i in range(8):
-        if value & (1 << i):
-            out |= 1 << (8 * i)
-    return out
-
-
-# rank_to_file of every first-rank byte: the reflection as a lookup.
-RANK_TO_FILE: tuple[Bitboard, ...] = tuple(rank_to_file(byte) for byte in range(256))
+    return RANK_TO_FILE[value & 0xFF]
 
 
 def build_file_attacks(rank_attacks: AttackTable) -> AttackTable:
@@ -223,11 +235,11 @@ def build_attack_table(square_lists: tuple[tuple[Bitboard, ...], ...]) -> Attack
 
     Each inner list enumerates one line's square bitboards in walk order
     (1 to 8 squares).  For every mover position and every occupancy pattern
-    of the line, the walk accumulates squares ahead of and behind the mover,
-    stopping after the first occupied one in each direction.  The occupancy
-    pattern index is re-expressed as a board bitboard (each set bit mapped
-    through the square list) so lookups can use masked occupancies directly.
-    The table carries a base entry [0][0] = 0.
+    of the line, the first-rank walk gives the attacked line positions, and
+    the line's ``line_to_board`` table turns pattern and attacks alike into
+    board bitboards, so lookups can use masked occupancies directly.  Walk
+    bits past a short line's end map to no square.  The table carries a
+    base entry [0][0] = 0.
     """
     seen: set[Bitboard] = set()
     for squares in square_lists:
@@ -236,28 +248,12 @@ def build_attack_table(square_lists: tuple[tuple[Bitboard, ...], ...]) -> Attack
                 raise ValueError(f"duplicate square bitboard {square_bb:#x} across lists")
             seen.add(square_bb)
 
+    walk = build_line_attack_bytes()
     table: AttackTable = {0: {0: 0}}
     for squares in square_lists:
-        size = len(squares)
-        for pos in range(size):
-            entries: dict[int, int] = {}
-            table[squares[pos]] = entries
-            for occ in range(1 << size):
-                moves = 0
-                for ahead in range(pos + 1, size):
-                    moves |= squares[ahead]
-                    if occ & (1 << ahead):
-                        break
-                for behind in range(pos - 1, -1, -1):
-                    moves |= squares[behind]
-                    if occ & (1 << behind):
-                        break
-                occ_key = 0
-                remaining = occ
-                while remaining:
-                    occ_key |= squares[bit_index(lsb(remaining))]
-                    remaining = clear_lsb(remaining)
-                entries[occ_key] = moves
+        board = line_to_board(squares)
+        for pos, square_bb in enumerate(squares):
+            table[square_bb] = {board[occ]: board[walk[pos][occ]] for occ in range(1 << len(squares))}
     return table
 
 

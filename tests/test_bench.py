@@ -69,6 +69,13 @@ def test_load_corpus_missing_file_rejected(tmp_path):
         load_corpus(tmp_path / "nope.epd")
 
 
+def test_load_corpus_undecodable_file_rejected(tmp_path):
+    path = tmp_path / "binary.epd"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(CorpusError, match="cannot read corpus: 'utf-8' codec"):
+        load_corpus(path)
+
+
 def test_load_corpus_tolerates_crlf(tmp_path):
     path = tmp_path / "crlf.epd"
     path.write_bytes((GOOD_LINE + "\r\n" + STARTING_FEN + "\r\n").encode())

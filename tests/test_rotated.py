@@ -18,7 +18,15 @@ from chesslut.rotated import (
     rotate_occupancy,
     toggle_square,
 )
-from chesslut.tables import bishop_attacks, queen_attacks, rook_attacks
+from chesslut.tables import (
+    FILE_LINES,
+    NE_DIAGONALS,
+    NW_DIAGONALS,
+    RANK_LINES,
+    bishop_attacks,
+    queen_attacks,
+    rook_attacks,
+)
 
 
 def test_all_maps_are_permutations(rotation):
@@ -159,6 +167,27 @@ def test_backends_agree_with_oracle_on_random_boards(attack_tables, rotation):
         assert queen_attacks_rotated(state, maps, arrays, sq) == queen_attacks(
             attack_tables, occ, sq
         )
+
+
+def test_every_line_pattern_matches_oracle_on_empty_and_full_boards(rotation):
+    # Each of a square's four lines in every occupancy pattern, the rest of the
+    # board empty or full: bits of a neighbouring line, or past a short
+    # line's end, must never reach the result.
+    maps, arrays = rotation
+    full = (1 << 64) - 1
+    for line in RANK_LINES + FILE_LINES + NE_DIAGONALS + NW_DIAGONALS:
+        patterns = [0]
+        for square_bb in line:
+            patterns += [pattern | square_bb for pattern in patterns]
+        line_mask = patterns[-1]
+        for rest in (0, full & ~line_mask):
+            for pattern in patterns:
+                occ = pattern | rest
+                state = make_rotated_state(occ, maps)
+                for square_bb in line:
+                    sq = bit_index(square_bb)
+                    assert rook_attacks_rotated(state, maps, arrays, sq) == rook_rays(occ, sq)
+                    assert bishop_attacks_rotated(state, maps, arrays, sq) == bishop_rays(occ, sq)
 
 
 @pytest.mark.parametrize("square", [-1, 64])

@@ -30,6 +30,7 @@ from chesslut.tables import (
     build_rank_attacks,
     build_rank_attacks_generalized,
     legal_targets,
+    line_to_board,
     queen_attacks,
     rank_to_file,
     rook_attacks,
@@ -167,6 +168,20 @@ def test_rank_to_file_g1_to_h2():
 def test_rank_to_file_f1_to_h3():
     assert rank_to_file(4) == 65536
     assert rank_to_file(4) == H3
+
+
+def test_line_to_board_drops_bits_past_line_end():
+    for length in range(1, 9):
+        line = NE_DIAGONALS[length - 1]
+        assert len(line) == length
+        board = line_to_board(line)
+        assert len(board) == 256
+        for k in range(8):
+            assert board[1 << k] == (line[k] if k < length else 0)
+        for byte in range(256):
+            assert board[byte] == board[byte & ((1 << length) - 1)]
+    with pytest.raises(ValueError, match="at most 8 squares"):
+        line_to_board(RANK_LINES[0] + (H2,))
 
 
 # -- file attacks -------------------------------------------------------------
