@@ -3,6 +3,8 @@
 Generation is parameterized by an attack backend so the direct-lookup
 tables and the rotated-bitboard baseline share every code path except the
 sliding-piece attack queries and the upkeep of their occupancy context.
+The direct backend resolves each square's masks and first-level table
+entries when it is built, so a query is its masked second-level probes.
 Positions are immutable, so make_move returns a new Position and unmaking
 is just keeping the old value.  The search (perft, generate_legal) derives
 each child's context from its parent's, so the rotated backend pays the
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Protocol
 
-from .bitboard import KING_ATTACKS, KNIGHT_ATTACKS, PAWN_ATTACKS, Bitboard, Square, square_name
+from .bitboard import KING_ATTACKS, KNIGHT_ATTACKS, PAWN_ATTACKS, Bitboard, Square, off_board, square_name
 from .bitboard import build_leaper_tables as build_leaper_tables  # still importable from here
 from .position import (
     BISHOP,
@@ -38,7 +40,7 @@ from .rotated import (
     queen_attacks_rotated,
     rook_attacks_rotated,
 )
-from .tables import AttackTables, bishop_attacks, queen_attacks, rook_attacks
+from .tables import AttackTables
 
 QUIET = "quiet"
 CAPTURE = "capture"
@@ -83,12 +85,35 @@ class AttackBackend(Protocol):
 
 
 class DirectBackend:
-    """Serves sliders straight from the four lookup tables."""
+    """Serves sliders straight from the four lookup tables.
+
+    The first level of every table is resolved here, once per square: each
+    square's entry holds its line masks next to the inner dicts its mover
+    bitboard selects, references into the tables rather than copies.  A
+    query then masks the occupancy and probes those inner dicts, rook and
+    bishop two probes each, the queen four, all in one frame.
+    """
 
     name = "direct"
 
     def __init__(self, tables: AttackTables) -> None:
         self.tables = tables
+        masks = tables.masks
+        self._rook: dict[Square, tuple] = {}
+        self._bishop: dict[Square, tuple] = {}
+        self._queen: dict[Square, tuple] = {}
+        for sq in range(64):
+            piece_bb = 1 << sq
+            rook = (masks.rank[sq], tables.rank_attacks[piece_bb], masks.file[sq], tables.file_attacks[piece_bb])
+            bishop = (
+                masks.diag_ne[sq],
+                tables.diag_attacks_ne[piece_bb],
+                masks.diag_nw[sq],
+                tables.diag_attacks_nw[piece_bb],
+            )
+            self._rook[sq] = rook
+            self._bishop[sq] = bishop
+            self._queen[sq] = rook + bishop
 
     def prepare(self, occupied: Bitboard, parent: Bitboard | None = None) -> Bitboard:
         """The occupancy is the whole context: nothing to keep up."""
@@ -98,13 +123,30 @@ class DirectBackend:
         return state.occ
 
     def rook(self, context: Bitboard, square: Square) -> Bitboard:
-        return rook_attacks(self.tables, context, square)
+        try:
+            rank_mask, rank_table, file_mask, file_table = self._rook[square]
+        except KeyError:
+            raise off_board(square) from None
+        return rank_table[context & rank_mask] | file_table[context & file_mask]
 
     def bishop(self, context: Bitboard, square: Square) -> Bitboard:
-        return bishop_attacks(self.tables, context, square)
+        try:
+            ne_mask, ne_table, nw_mask, nw_table = self._bishop[square]
+        except KeyError:
+            raise off_board(square) from None
+        return ne_table[context & ne_mask] | nw_table[context & nw_mask]
 
     def queen(self, context: Bitboard, square: Square) -> Bitboard:
-        return queen_attacks(self.tables, context, square)
+        try:
+            rank_mask, rank_table, file_mask, file_table, ne_mask, ne_table, nw_mask, nw_table = self._queen[square]
+        except KeyError:
+            raise off_board(square) from None
+        return (
+            rank_table[context & rank_mask]
+            | file_table[context & file_mask]
+            | ne_table[context & ne_mask]
+            | nw_table[context & nw_mask]
+        )
 
 
 class RotatedBackend:

@@ -29,6 +29,7 @@ end, and the line's table maps every bit past the end to no square.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bitboard import Bitboard, Square, off_board
 from .tables import FILE_LINES, NE_DIAGONALS, NW_DIAGONALS, RANK_LINES, LineAttackArrays, line_to_board
@@ -46,7 +47,7 @@ class LineLayout:
 
 @dataclass(frozen=True)
 class RotationMaps:
-    """Square remappings plus the per-square line data the lookups read."""
+    """Square remappings plus the per-square data the lookups and the upkeep read."""
 
     r90: tuple[int, ...]  # square -> bit index in the 90 degree board
     r45_ne: tuple[int, ...]
@@ -55,6 +56,7 @@ class RotationMaps:
     file_line: LineLayout
     ne_line: LineLayout
     nw_line: LineLayout
+    flips: tuple[tuple[Bitboard, Bitboard, Bitboard], ...]  # square -> its bit in each rotated board
 
 
 def _line_layout(lines: tuple[tuple[Bitboard, ...], ...]) -> tuple[tuple[int, ...], LineLayout]:
@@ -84,7 +86,8 @@ def build_rotation_maps() -> RotationMaps:
     r90, file_line = _line_layout(FILE_LINES[::-1])
     r45_ne, ne_line = _line_layout(NE_DIAGONALS)
     r45_nw, nw_line = _line_layout(NW_DIAGONALS)
-    return RotationMaps(r90, r45_ne, r45_nw, rank_line, file_line, ne_line, nw_line)
+    flips = tuple((1 << r90[sq], 1 << r45_ne[sq], 1 << r45_nw[sq]) for sq in range(64))
+    return RotationMaps(r90, r45_ne, r45_nw, rank_line, file_line, ne_line, nw_line, flips)
 
 
 def rotate_occupancy(occ: Bitboard, mapping: tuple[int, ...]) -> Bitboard:
@@ -97,9 +100,12 @@ def rotate_occupancy(occ: Bitboard, mapping: tuple[int, ...]) -> Bitboard:
     return out
 
 
-@dataclass(frozen=True)
-class RotatedState:
-    """Main occupancy plus its three rotated copies; an immutable value."""
+class RotatedState(NamedTuple):
+    """Main occupancy plus its three rotated copies; an immutable value.
+
+    A tuple rather than a frozen dataclass: the search builds one per move,
+    and a tuple is several times cheaper to build.
+    """
 
     occ: Bitboard
     occ90: Bitboard
@@ -124,20 +130,16 @@ def derive_rotated_state(parent: RotatedState, occ: Bitboard, maps: RotationMaps
     A move changes one to four squares, against the ~30 a full rotation walks.
     """
     delta = occ ^ parent.occ
+    flips = maps.flips
     flip90 = flip_ne = flip_nw = 0
     while delta:
         low = delta & -delta
-        sq = low.bit_length() - 1
-        flip90 |= 1 << maps.r90[sq]
-        flip_ne |= 1 << maps.r45_ne[sq]
-        flip_nw |= 1 << maps.r45_nw[sq]
+        bit90, bit_ne, bit_nw = flips[low.bit_length() - 1]
+        flip90 |= bit90
+        flip_ne |= bit_ne
+        flip_nw |= bit_nw
         delta ^= low
-    return RotatedState(
-        occ=occ,
-        occ90=parent.occ90 ^ flip90,
-        occ45_ne=parent.occ45_ne ^ flip_ne,
-        occ45_nw=parent.occ45_nw ^ flip_nw,
-    )
+    return RotatedState(occ, parent.occ90 ^ flip90, parent.occ45_ne ^ flip_ne, parent.occ45_nw ^ flip_nw)
 
 
 def toggle_square(state: RotatedState, maps: RotationMaps, square: Square) -> RotatedState:
@@ -179,6 +181,17 @@ def bishop_attacks_rotated(
 def queen_attacks_rotated(
     state: RotatedState, maps: RotationMaps, arrays: LineAttackArrays, square: Square
 ) -> Bitboard:
-    return rook_attacks_rotated(state, maps, arrays, square) | bishop_attacks_rotated(
-        state, maps, arrays, square
-    )
+    """Queen attacks from *square*: all four lines in one frame; off-board squares raise ValueError."""
+    rank = maps.rank_line
+    file = maps.file_line
+    ne = maps.ne_line
+    nw = maps.nw_line
+    try:
+        if square < 0:
+            raise IndexError(square)
+        attacks = rank.board[square][arrays[rank.pos[square]][(state.occ >> rank.shift[square]) & 0xFF]]
+        attacks |= file.board[square][arrays[file.pos[square]][(state.occ90 >> file.shift[square]) & 0xFF]]
+        attacks |= ne.board[square][arrays[ne.pos[square]][(state.occ45_ne >> ne.shift[square]) & 0xFF]]
+        return attacks | nw.board[square][arrays[nw.pos[square]][(state.occ45_nw >> nw.shift[square]) & 0xFF]]
+    except IndexError:
+        raise off_board(square) from None

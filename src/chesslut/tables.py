@@ -12,6 +12,12 @@ A query is therefore two dict lookups and an OR:
     rank_attacks[piece_bb][occupied & rank_mask[sq]]
     | file_attacks[piece_bb][occupied & file_mask[sq]]
 
+``rook_attacks``, ``bishop_attacks`` and ``queen_attacks`` below make that
+query literally, both levels per call.  The search's ``movegen.DirectBackend``
+resolves the first level once, when it is built: per square it keeps the
+line masks and the inner dicts ``piece_bb`` selects, so its queries make
+only the second-level probes.
+
 Every table comes from one walk: ``build_line_attack_bytes``, the 8x256
 first-rank array of attack bytes, which the rotated baseline indexes too.
 ``line_to_board`` turns a line's bytes into board bitboards (bit k stands

@@ -1,3 +1,4 @@
+import io
 import random
 from collections import Counter
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_engine import ref_legal_moves, ref_move_uci, ref_parse_fen, ref_perft
 
-from chesslut.bitboard import popcount, square_index
+from chesslut.bitboard import FULL_BOARD, popcount, square_index
 from chesslut.movegen import (
     CAPTURE,
     CASTLE,
@@ -16,6 +17,7 @@ from chesslut.movegen import (
     KNIGHT_ATTACKS,
     PROMOTION,
     QUIET,
+    DirectBackend,
     _legal_children,
     build_leaper_tables,
     generate_legal,
@@ -40,6 +42,10 @@ from chesslut.position import (
     serialize_fen,
     startpos,
 )
+from chesslut.rays import bishop_rays, queen_rays, rook_rays
+from chesslut.rotated import make_rotated_state
+from chesslut.store import load_tables, save_tables
+from chesslut.tables import bishop_attacks, queen_attacks, rook_attacks
 
 KIWIPETE = "r3k2r/p1ppqpb1/bn2pnp1/3PN3/1p2P3/2N2Q1p/PPPBBPPP/R3K2R w KQkq - 0 1"
 POS3 = "8/2p5/3p4/KP5r/1R3p1k/8/4P1P1/8 w - - 0 1"
@@ -280,6 +286,53 @@ def test_in_check_detection(direct_backend):
     pos = parse_fen("4k3/8/8/8/8/8/4R3/4K3 b - -")
     assert in_check(pos, BLACK, direct_backend)
     assert not in_check(pos, WHITE, direct_backend)
+
+
+# -- slider queries of the backends -------------------------------------------
+
+
+def seeded_boards():
+    """Three seeded boards for each piece count 0..32, plus the empty and full boards."""
+    rng = random.Random(606)
+    boards = [0, FULL_BOARD]
+    for count in range(33):
+        for _ in range(3):
+            occ = 0
+            for sq in rng.sample(range(64), count):
+                occ |= 1 << sq
+            boards.append(occ)
+    return boards
+
+
+@pytest.mark.parametrize("source", ["built", "loaded"])
+def test_direct_backend_matches_table_queries_and_rays(attack_tables, source):
+    # The backend resolves each square's first level when it is built; a
+    # table set read back from a file must resolve to the same answers.
+    tables = attack_tables
+    if source == "loaded":
+        buffer = io.BytesIO()
+        save_tables(attack_tables, buffer)
+        buffer.seek(0)
+        tables = load_tables(buffer)
+    backend = DirectBackend(tables)
+    for occ in seeded_boards():
+        for sq in range(64):
+            rook = backend.rook(occ, sq)
+            bishop = backend.bishop(occ, sq)
+            queen = backend.queen(occ, sq)
+            assert rook == rook_attacks(tables, occ, sq) == rook_rays(occ, sq)
+            assert bishop == bishop_attacks(tables, occ, sq) == bishop_rays(occ, sq)
+            assert queen == queen_attacks(tables, occ, sq) == queen_rays(occ, sq)
+
+
+@pytest.mark.parametrize("square", [-1, 64])
+@pytest.mark.parametrize("piece", ["rook", "bishop", "queen"])
+@pytest.mark.parametrize("backend_name", ["direct_backend", "rotated_backend"])
+def test_backend_queries_raise_named_error_off_board(request, rotation, backend_name, piece, square):
+    backend = request.getfixturevalue(backend_name)
+    context = backend.context_from_state(make_rotated_state(0, rotation[0]))
+    with pytest.raises(ValueError, match=f"square {square} is off the board"):
+        getattr(backend, piece)(context, square)
 
 
 # -- perft --------------------------------------------------------------------
