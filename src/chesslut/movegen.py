@@ -5,15 +5,19 @@ tables and the rotated-bitboard baseline share every code path except the
 sliding-piece attack queries and the upkeep of their occupancy context.
 The direct backend resolves each square's masks and first-level table
 entries when it is built, so a query is its masked second-level probes.
-Positions are immutable, so make_move returns a new Position and unmaking
-is just keeping the old value.  The search (perft, generate_legal) derives
-each child's context from its parent's, so the rotated backend pays the
-incremental upkeep of the classical design rather than a full rotation.
+A move is an int: ``Move`` subclasses int, and its value packs the move as
+``from | to << 6 | piece << 12 | kind << 15 | promotion << 18``.  The
+generator ORs each target onto its from-square's code, make_move decodes
+with shifts and masks, and the Move properties decode the same fields for
+callers.  Positions are immutable, so make_move returns a new Position
+and unmaking is just keeping the old value.  The search (perft,
+generate_legal) derives each child's context from its parent's, so the
+rotated backend pays the incremental upkeep of the classical design rather
+than a full rotation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Protocol
 
 from .bitboard import KING_ATTACKS, KNIGHT_ATTACKS, PAWN_ATTACKS, Bitboard, Square, off_board, square_name
@@ -42,25 +46,55 @@ from .rotated import (
 )
 from .tables import AttackTables
 
-QUIET = "quiet"
-CAPTURE = "capture"
-DOUBLE_PUSH = "double_push"
-EP_CAPTURE = "ep_capture"
-CASTLE = "castle"
-PROMOTION = "promotion"
+# Move kinds, the 3-bit kind field of a packed move.
+QUIET, CAPTURE, DOUBLE_PUSH, EP_CAPTURE, CASTLE, PROMOTION = range(6)
+
+_KIND_NAMES = ("QUIET", "CAPTURE", "DOUBLE_PUSH", "EP_CAPTURE", "CASTLE", "PROMOTION")
+_PIECE_NAMES = ("PAWN", "KNIGHT", "BISHOP", "ROOK", "QUEEN", "KING")
 
 
-@dataclass(frozen=True, slots=True)
-class Move:
-    from_square: Square
-    to_square: Square
-    piece: int
-    kind: str
-    promotion: int | None = None
+class Move(int):
+    """A move whose int value is its packed code.
+
+    The value is ``from | to << 6 | piece << 12 | kind << 15 | promotion << 18``:
+    6 bits per square, 3 for the moving piece, 3 for the kind, and above
+    them the promotion piece, 0 unless the kind is PROMOTION.  The fields
+    are decoded from the value on demand.
+    """
+
+    __slots__ = ()
+
+    @property
+    def from_square(self) -> Square:
+        return self & 63
+
+    @property
+    def to_square(self) -> Square:
+        return self >> 6 & 63
+
+    @property
+    def piece(self) -> int:
+        return self >> 12 & 7
+
+    @property
+    def kind(self) -> int:
+        return self >> 15 & 7
+
+    @property
+    def promotion(self) -> int | None:
+        return self >> 18 if self >> 15 & 7 == PROMOTION else None
 
     def uci(self) -> str:
         suffix = "" if self.promotion is None else "pnbrqk"[self.promotion]
         return square_name(self.from_square) + square_name(self.to_square) + suffix
+
+    def __repr__(self) -> str:
+        return f"Move({self.uci()}, piece={_PIECE_NAMES[self.piece]}, kind={_KIND_NAMES[self.kind]})"
+
+
+def encode_move(from_square: Square, to_square: Square, piece: int, kind: int, promotion: int | None = None) -> Move:
+    """The Move with these fields; *promotion* is given only for kind PROMOTION."""
+    return Move(from_square | to_square << 6 | piece << 12 | kind << 15 | (promotion or 0) << 18)
 
 
 class AttackBackend(Protocol):
@@ -207,6 +241,14 @@ _RIGHTS_MASK = tuple(
 )
 
 
+# Kind bits, and the promotions' kind and piece bits, that the generator ORs
+# onto a move's square and piece bits.
+_DOUBLE_PUSH_CODE = DOUBLE_PUSH << 15
+_CAPTURE_CODE = CAPTURE << 15
+_EP_CAPTURE_CODE = EP_CAPTURE << 15
+_PROMOTION_CODES = tuple(PROMOTION << 15 | promo << 18 for promo in (QUEEN, ROOK, BISHOP, KNIGHT))
+
+
 def generate_pseudo_legal(
     position: Position, backend: AttackBackend, context: Any = None
 ) -> list[Move]:
@@ -215,7 +257,9 @@ def generate_pseudo_legal(
     King safety is not checked here; see generate_legal and perft.  Castling
     is emitted only through empty, unattacked squares.  Order is fixed for a
     given position: pawns, knights, bishops, rooks, queens, king, castles,
-    each scanned from the low bit up.
+    each scanned from the low bit up.  Each from-square's base code
+    (``from | piece << 12``) is computed once; a move ORs its to-square and
+    kind onto it.
     """
     us = position.side_to_move
     them = 1 - us
@@ -228,12 +272,12 @@ def generate_pseudo_legal(
     moves: list[Move] = []
     add = moves.append
 
-    def emit(from_sq: Square, piece: int, targets: Bitboard) -> None:
+    def emit(base: int, targets: Bitboard) -> None:
+        capture = base | _CAPTURE_CODE
         while targets:
             low = targets & -targets
-            to_sq = low.bit_length() - 1
-            targets &= targets - 1
-            add(Move(from_sq, to_sq, piece, CAPTURE if enemy & low else QUIET))
+            targets ^= low
+            add(Move((capture if enemy & low else base) | (low.bit_length() - 1) << 6))
 
     push = 8 if us == WHITE else -8
     start_rank = 1 if us == WHITE else 6
@@ -243,71 +287,75 @@ def generate_pseudo_legal(
     pawns = position.piece_bb(us, PAWN)
     while pawns:
         low = pawns & -pawns
-        sq = low.bit_length() - 1
-        pawns &= pawns - 1
+        sq = low.bit_length() - 1  # also the base code: PAWN is 0
+        pawns ^= low
         target = sq + push
         if 0 <= target <= 63 and not occupied & (1 << target):
             if target >> 3 == promo_rank:
-                for promo in (QUEEN, ROOK, BISHOP, KNIGHT):
-                    add(Move(sq, target, PAWN, PROMOTION, promo))
+                for promo in _PROMOTION_CODES:
+                    add(Move(sq | target << 6 | promo))
             else:
-                add(Move(sq, target, PAWN, QUIET))
+                add(Move(sq | target << 6))
                 if sq >> 3 == start_rank and not occupied & (1 << (target + push)):
-                    add(Move(sq, target + push, PAWN, DOUBLE_PUSH))
+                    add(Move(sq | (target + push) << 6 | _DOUBLE_PUSH_CODE))
         attacks = PAWN_ATTACKS[us][sq]
         captures = attacks & enemy
         while captures:
             cap_low = captures & -captures
             cap_sq = cap_low.bit_length() - 1
-            captures &= captures - 1
+            captures ^= cap_low
             if cap_sq >> 3 == promo_rank:
-                for promo in (QUEEN, ROOK, BISHOP, KNIGHT):
-                    add(Move(sq, cap_sq, PAWN, PROMOTION, promo))
+                for promo in _PROMOTION_CODES:
+                    add(Move(sq | cap_sq << 6 | promo))
             else:
-                add(Move(sq, cap_sq, PAWN, CAPTURE))
+                add(Move(sq | cap_sq << 6 | _CAPTURE_CODE))
         if attacks & ep_bb:
-            add(Move(sq, position.ep_square, PAWN, EP_CAPTURE))
+            add(Move(sq | position.ep_square << 6 | _EP_CAPTURE_CODE))
 
     knights = position.piece_bb(us, KNIGHT)
     while knights:
         low = knights & -knights
         sq = low.bit_length() - 1
-        knights &= knights - 1
-        emit(sq, KNIGHT, KNIGHT_ATTACKS[sq] & ~own)
+        knights ^= low
+        emit(sq | KNIGHT << 12, KNIGHT_ATTACKS[sq] & ~own)
 
     for piece, attack_fn in ((BISHOP, backend.bishop), (ROOK, backend.rook), (QUEEN, backend.queen)):
         sliders = position.piece_bb(us, piece)
+        piece_code = piece << 12
         while sliders:
             low = sliders & -sliders
             sq = low.bit_length() - 1
-            sliders &= sliders - 1
-            emit(sq, piece, attack_fn(context, sq) & ~own)
+            sliders ^= low
+            emit(sq | piece_code, attack_fn(context, sq) & ~own)
 
     king = position.piece_bb(us, KING)
     if king:
         sq = king.bit_length() - 1
-        emit(sq, KING, KING_ATTACKS[sq] & ~own)
+        emit(sq | KING << 12, KING_ATTACKS[sq] & ~own)
         if position.castling:
             for right in _CASTLING_RULES[us]:
                 if not position.castling & right.flag or occupied & right.must_be_empty:
                     continue
                 if any(is_square_attacked(position, s, them, backend, context) for s in right.must_be_safe):
                     continue
-                add(Move(right.king_from, right.king_to, KING, CASTLE))
+                add(encode_move(right.king_from, right.king_to, KING, CASTLE))
 
     return moves
 
 
-def make_move(position: Position, move: Move) -> Position:
-    """Apply *move*; returns the successor Position (copy-make)."""
+def make_move(position: Position, move: int) -> Position:
+    """Apply *move*, a Move or its int code; returns the successor Position (copy-make)."""
     us = position.side_to_move
     them = 1 - us
     pieces = list(position.pieces)
-    from_bb = 1 << move.from_square
-    to_bb = 1 << move.to_square
+    from_sq = move & 63
+    to_sq = move >> 6 & 63
+    kind = move >> 15 & 7
+    from_bb = 1 << from_sq
+    to_bb = 1 << to_sq
 
-    if move.kind == EP_CAPTURE:
-        captured_sq = move.to_square - 8 if us == WHITE else move.to_square + 8
+    if kind == EP_CAPTURE:
+        captured_sq = to_sq - 8 if us == WHITE else to_sq + 8
         pieces[them * 6 + PAWN] ^= 1 << captured_sq
     elif to_bb & position.color_bb(them):
         for piece_type in range(6):
@@ -316,22 +364,22 @@ def make_move(position: Position, move: Move) -> Position:
                 pieces[idx] ^= to_bb
                 break
 
-    mover = us * 6 + move.piece
+    mover = us * 6 + (move >> 12 & 7)
     pieces[mover] ^= from_bb | to_bb
-    if move.kind == PROMOTION:
+    if kind == PROMOTION:
         pieces[mover] ^= to_bb
-        pieces[us * 6 + move.promotion] |= to_bb
-    elif move.kind == CASTLE:
-        rook_from, rook_to = _CASTLE_ROOK_MOVES[(us, move.to_square)]
+        pieces[us * 6 + (move >> 18)] |= to_bb
+    elif kind == CASTLE:
+        rook_from, rook_to = _CASTLE_ROOK_MOVES[(us, to_sq)]
         pieces[us * 6 + ROOK] ^= (1 << rook_from) | (1 << rook_to)
 
     castling = position.castling
     if castling:
-        castling &= _RIGHTS_MASK[move.from_square] & _RIGHTS_MASK[move.to_square]
+        castling &= _RIGHTS_MASK[from_sq] & _RIGHTS_MASK[to_sq]
 
     ep = None
-    if move.kind == DOUBLE_PUSH:
-        ep = move.from_square + 8 if us == WHITE else move.from_square - 8
+    if kind == DOUBLE_PUSH:
+        ep = from_sq + 8 if us == WHITE else from_sq - 8
 
     return Position(tuple(pieces), them, castling, ep)
 

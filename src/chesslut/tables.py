@@ -177,13 +177,15 @@ def build_rank_attacks() -> AttackTable:
 
     Moving everything up one rank is a multiplication by 256, applied to
     piece key, occupancy key and value alike, which fills in the remaining
-    56 squares from the first rank's 8 x 256 entries.
+    56 squares from the first rank's 8 x 256 entries.  Each rank's shifted
+    bytes are built once, so its 8 inner dicts share their key and value
+    int objects.
     """
+    boards = [tuple(b << 8 * r for b in range(256)) for r in range(8)]
     table: AttackTable = {}
     for i, row in enumerate(build_line_attack_bytes()):
-        for r in range(8):
-            up = 8 * r
-            table[1 << (i + up)] = {occ << up: attacks << up for occ, attacks in enumerate(row)}
+        for r, board in enumerate(boards):
+            table[1 << (i + 8 * r)] = {board[occ]: board[attacks] for occ, attacks in enumerate(row)}
     return table
 
 
@@ -221,18 +223,19 @@ def build_file_attacks(rank_attacks: AttackTable) -> AttackTable:
 
     Every square's rank entries are projected down to the first rank,
     reflected through RANK_TO_FILE, and shifted to the destination file.
-    Requires a fully built rank table.
+    Each file's reflected bytes are built once, so its 8 inner dicts share
+    their key and value int objects.  Requires a fully built rank table.
     """
     if not rank_attacks:
         raise ValueError("rank table missing")
+    boards = [tuple(b << f for b in RANK_TO_FILE) for f in range(8)]
     table: AttackTable = {}
     for i in range(64):
         r = i >> 3
         up = 8 * r
         row = rank_attacks[1 << i]
-        table[RANK_TO_FILE[1 << (i & 7)] << r] = {
-            RANK_TO_FILE[occ] << r: RANK_TO_FILE[row[occ << up] >> up] << r for occ in range(256)
-        }
+        board = boards[r]
+        table[board[1 << (i & 7)]] = {board[occ]: board[row[occ << up] >> up] for occ in range(256)}
     return table
 
 

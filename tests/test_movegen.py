@@ -1,3 +1,4 @@
+import hashlib
 import io
 import random
 from collections import Counter
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from reference_engine import ref_legal_moves, ref_move_uci, ref_parse_fen, ref_perft
 
 from chesslut.bitboard import FULL_BOARD, popcount, square_index
+from chesslut.corpus import generate_corpus, write_corpus
 from chesslut.movegen import (
     CAPTURE,
     CASTLE,
@@ -18,8 +20,10 @@ from chesslut.movegen import (
     PROMOTION,
     QUIET,
     DirectBackend,
+    Move,
     _legal_children,
     build_leaper_tables,
+    encode_move,
     generate_legal,
     generate_pseudo_legal,
     in_check,
@@ -32,6 +36,7 @@ from chesslut.position import (
     CASTLE_BQ,
     CASTLE_WK,
     CASTLE_WQ,
+    KING,
     KNIGHT,
     PAWN,
     QUEEN,
@@ -426,3 +431,46 @@ def test_upkeep_playouts_reach_every_move_kind(rotated_backend):
         (PROMOTION, False),
         (PROMOTION, True),
     }
+
+
+# -- packed move encoding -----------------------------------------------------
+
+# sha256 of write_corpus(generate_corpus(200, seed=1)): the playouts pick moves by
+# index, so this pins the generation order that every benchmark input comes from.
+CORPUS_200_SEED_1_SHA256 = "eca0b39cee1a6a25424c5e9650633066ce29ee2427943b77054eeaa879df0bdc"
+
+
+def test_generation_order_pinned_by_corpus_digest(direct_backend):
+    sink = io.StringIO()
+    write_corpus(generate_corpus(200, seed=1, backend=direct_backend), sink)
+    assert hashlib.sha256(sink.getvalue().encode("utf-8")).hexdigest() == CORPUS_200_SEED_1_SHA256
+
+
+def published_roots_and_children(backend):
+    for fen in PUBLISHED:
+        root = parse_fen(fen)
+        yield root
+        for move in generate_legal(root, backend):
+            yield make_move(root, move)
+
+
+def test_move_encoding_round_trips_on_published_positions(direct_backend):
+    kinds = Counter()
+    for position in published_roots_and_children(direct_backend):
+        for move in generate_legal(position, direct_backend):
+            fields = (move.from_square, move.to_square, move.piece, move.kind, move.promotion)
+            encoded = encode_move(*fields)
+            assert type(encoded) is Move and encoded == move, move
+            assert (encoded.from_square, encoded.to_square, encoded.piece, encoded.kind, encoded.promotion) == fields
+            assert position.piece_at(move.from_square) == (position.side_to_move, move.piece), move
+            assert (move.promotion is None) == (move.kind != PROMOTION), move
+            assert make_move(position, int(move)) == make_move(position, move), move
+            kinds[move.kind] += 1
+    assert set(kinds) == {QUIET, CAPTURE, DOUBLE_PUSH, EP_CAPTURE, CASTLE, PROMOTION}
+
+
+def test_move_repr_names_its_fields(direct_backend):
+    pos = parse_fen("8/4P3/8/8/8/8/8/K6k w - -")
+    promotion = next(m for m in generate_legal(pos, direct_backend) if m.uci() == "e7e8q")
+    assert repr(promotion) == "Move(e7e8q, piece=PAWN, kind=PROMOTION)"
+    assert repr(encode_move(square_index("e1"), square_index("g1"), KING, CASTLE)) == "Move(e1g1, piece=KING, kind=CASTLE)"

@@ -280,6 +280,17 @@ def test_generalized_file_table_equals_direct_construction():
     assert build_file_attacks_generalized() == build_file_attacks(build_rank_attacks())
 
 
+def test_rank_and_file_movers_share_key_objects(attack_tables):
+    # One board tuple per rank and per file: a line's 8 inner dicts hold the same
+    # key ints, not 8 equal copies.
+    for lines, table in ((RANK_LINES, attack_tables.rank_attacks), (FILE_LINES, attack_tables.file_attacks)):
+        for line in lines:
+            first = list(table[line[0]])
+            for square_bb in line[1:]:
+                keys = list(table[square_bb])
+                assert len(keys) == len(first) and all(a is b for a, b in zip(keys, first)), hex(square_bb)
+
+
 def test_generalized_rank_example_case():
     table = build_rank_attacks_generalized()
     assert table[H1][F1] == G1 | F1
