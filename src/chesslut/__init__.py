@@ -58,6 +58,7 @@ from .movegen import (
     generate_pseudo_legal,
     make_move,
     perft,
+    perft_divide,
 )
 from .bench import BenchConfig, BenchReport, emit_report, load_corpus, precompute_boards, run_bench
 from .corpus import generate_corpus, write_corpus

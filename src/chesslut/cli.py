@@ -15,7 +15,7 @@ import time
 from .bench import BenchConfig, CorpusError, emit_report, run_bench
 from .bitboard import square_name
 from .corpus import DEFAULT_COUNT, generate_corpus, write_corpus
-from .movegen import DirectBackend, RotatedBackend, perft
+from .movegen import DirectBackend, RotatedBackend, perft, perft_divide
 from .position import STARTING_FEN, FenError, parse_fen
 from .rays import bishop_rays, queen_rays, rook_rays
 from .rotated import build_line_attack_bytes, build_rotation_maps, make_rotated_state
@@ -70,7 +70,13 @@ def cmd_perft(args: argparse.Namespace) -> int:
     else:
         backend = DirectBackend(_load_or_build_tables(args.tables))
     start = time.perf_counter()
-    nodes = perft(position, args.depth, backend)
+    if args.divide:
+        divide = perft_divide(position, args.depth, backend)
+        for move, count in divide:
+            print(f"{move.uci()}: {count}")
+        nodes = sum(count for _, count in divide)
+    else:
+        nodes = perft(position, args.depth, backend)
     elapsed = time.perf_counter() - start
     print(f"perft({args.depth}) = {nodes} [{args.backend}, {elapsed:.3f} s]", file=sys.stderr)
     print(nodes)
@@ -159,6 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_perft.add_argument("--depth", type=int, required=True)
     p_perft.add_argument("--backend", choices=("direct", "rotated"), default="direct")
     p_perft.add_argument("--tables", default=None, help="load saved tables instead of building")
+    p_perft.add_argument("--divide", action="store_true", help="print each root move's count, then the total")
     p_perft.set_defaults(func=cmd_perft)
 
     p_bench = sub.add_parser("bench", help="time move generation per backend over a corpus")

@@ -10,10 +10,12 @@ A move is an int: ``Move`` subclasses int, and its value packs the move as
 generator ORs each target onto its from-square's code, make_move decodes
 with shifts and masks, and the Move properties decode the same fields for
 callers.  Positions are immutable, so make_move returns a new Position
-and unmaking is just keeping the old value.  The search (perft,
-generate_legal) derives each child's context from its parent's, so the
-rotated backend pays the incremental upkeep of the classical design rather
-than a full rotation.
+and unmaking is just keeping the old value; it XORs the squares a move
+touches into the parent's colour boards, so no child derives its occupancy
+from its twelve piece boards.  The king-safety test reads the attacker's six
+boards with one slice.  The search (perft, perft_divide, generate_legal)
+derives each child's context from its parent's, so the rotated backend pays
+the incremental upkeep of the classical design rather than a full rotation.
 """
 
 from __future__ import annotations
@@ -215,16 +217,17 @@ def is_square_attacked(
     position: Position, square: Square, by_color: int, backend: AttackBackend, context: Any
 ) -> bool:
     """True if any piece of *by_color* attacks *square* under *context* occupancy."""
-    if PAWN_ATTACKS[1 - by_color][square] & position.piece_bb(by_color, PAWN):
+    base = by_color * 6
+    pawns, knights, bishops, rooks, queens, kings = position.pieces[base : base + 6]
+    if PAWN_ATTACKS[1 - by_color][square] & pawns:
         return True
-    if KNIGHT_ATTACKS[square] & position.piece_bb(by_color, KNIGHT):
+    if KNIGHT_ATTACKS[square] & knights:
         return True
-    if KING_ATTACKS[square] & position.piece_bb(by_color, KING):
+    if KING_ATTACKS[square] & kings:
         return True
-    queens = position.piece_bb(by_color, QUEEN)
-    if backend.rook(context, square) & (position.piece_bb(by_color, ROOK) | queens):
+    if backend.rook(context, square) & (rooks | queens):
         return True
-    if backend.bishop(context, square) & (position.piece_bb(by_color, BISHOP) | queens):
+    if backend.bishop(context, square) & (bishops | queens):
         return True
     return False
 
@@ -284,7 +287,7 @@ def generate_pseudo_legal(
     promo_rank = 7 if us == WHITE else 0
     ep_bb = 0 if position.ep_square is None else 1 << position.ep_square
 
-    pawns = position.piece_bb(us, PAWN)
+    pawns, knights, bishops, rooks, queens, king = position.pieces[us * 6 : us * 6 + 6]
     while pawns:
         low = pawns & -pawns
         sq = low.bit_length() - 1  # also the base code: PAWN is 0
@@ -312,15 +315,17 @@ def generate_pseudo_legal(
         if attacks & ep_bb:
             add(Move(sq | position.ep_square << 6 | _EP_CAPTURE_CODE))
 
-    knights = position.piece_bb(us, KNIGHT)
     while knights:
         low = knights & -knights
         sq = low.bit_length() - 1
         knights ^= low
         emit(sq | KNIGHT << 12, KNIGHT_ATTACKS[sq] & ~own)
 
-    for piece, attack_fn in ((BISHOP, backend.bishop), (ROOK, backend.rook), (QUEEN, backend.queen)):
-        sliders = position.piece_bb(us, piece)
+    for piece, sliders, attack_fn in (
+        (BISHOP, bishops, backend.bishop),
+        (ROOK, rooks, backend.rook),
+        (QUEEN, queens, backend.queen),
+    ):
         piece_code = piece << 12
         while sliders:
             low = sliders & -sliders
@@ -328,7 +333,6 @@ def generate_pseudo_legal(
             sliders ^= low
             emit(sq | piece_code, attack_fn(context, sq) & ~own)
 
-    king = position.piece_bb(us, KING)
     if king:
         sq = king.bit_length() - 1
         emit(sq | KING << 12, KING_ATTACKS[sq] & ~own)
@@ -344,7 +348,11 @@ def generate_pseudo_legal(
 
 
 def make_move(position: Position, move: int) -> Position:
-    """Apply *move*, a Move or its int code; returns the successor Position (copy-make)."""
+    """Apply *move*, a Move or its int code; returns the successor Position (copy-make).
+
+    Each colour's occupancy is updated with the squares the move touches,
+    not derived again from the twelve piece boards.
+    """
     us = position.side_to_move
     them = 1 - us
     pieces = list(position.pieces)
@@ -353,13 +361,16 @@ def make_move(position: Position, move: int) -> Position:
     kind = move >> 15 & 7
     from_bb = 1 << from_sq
     to_bb = 1 << to_sq
+    own = position.occupancy[us] ^ (from_bb | to_bb)
+    enemy = position.occupancy[them]
 
     if kind == EP_CAPTURE:
-        captured_sq = to_sq - 8 if us == WHITE else to_sq + 8
-        pieces[them * 6 + PAWN] ^= 1 << captured_sq
-    elif to_bb & position.color_bb(them):
-        for piece_type in range(6):
-            idx = them * 6 + piece_type
+        captured_bb = 1 << (to_sq - 8 if us == WHITE else to_sq + 8)
+        pieces[them * 6 + PAWN] ^= captured_bb
+        enemy ^= captured_bb
+    elif to_bb & enemy:
+        enemy ^= to_bb
+        for idx in range(them * 6, them * 6 + 6):
             if pieces[idx] & to_bb:
                 pieces[idx] ^= to_bb
                 break
@@ -371,7 +382,9 @@ def make_move(position: Position, move: int) -> Position:
         pieces[us * 6 + (move >> 18)] |= to_bb
     elif kind == CASTLE:
         rook_from, rook_to = _CASTLE_ROOK_MOVES[(us, to_sq)]
-        pieces[us * 6 + ROOK] ^= (1 << rook_from) | (1 << rook_to)
+        rook_bb = (1 << rook_from) | (1 << rook_to)
+        pieces[us * 6 + ROOK] ^= rook_bb
+        own ^= rook_bb
 
     castling = position.castling
     if castling:
@@ -381,7 +394,8 @@ def make_move(position: Position, move: int) -> Position:
     if kind == DOUBLE_PUSH:
         ep = from_sq + 8 if us == WHITE else from_sq - 8
 
-    return Position(tuple(pieces), them, castling, ep)
+    occupancy = (own, enemy) if us == WHITE else (enemy, own)
+    return Position._make((tuple(pieces), them, castling, ep, occupancy))
 
 
 def in_check(position: Position, color: int, backend: AttackBackend, context: Any = None) -> bool:
@@ -389,12 +403,12 @@ def in_check(position: Position, color: int, backend: AttackBackend, context: An
 
     *context* is the backend's context for *position*; omitted, it is built from scratch.
     """
-    king_sq = position.king_square(color)
-    if king_sq is None:
+    king = position.pieces[color * 6 + KING]
+    if not king:
         return False
     if context is None:
         context = backend.prepare(position.occupied())
-    return is_square_attacked(position, king_sq, 1 - color, backend, context)
+    return is_square_attacked(position, king.bit_length() - 1, 1 - color, backend, context)
 
 
 def _legal_children(
@@ -427,6 +441,19 @@ def perft(position: Position, depth: int, backend: AttackBackend) -> int:
     if depth <= 0:
         return 1
     return _perft(position, depth, backend, backend.prepare(position.occupied()))
+
+
+def perft_divide(position: Position, depth: int, backend: AttackBackend) -> list[tuple[Move, int]]:
+    """(move, leaf count of its subtree) for each legal root move, in generation order.
+
+    The counts sum to ``perft(position, depth, backend)``; *depth* must be at least 1.
+    """
+    if depth < 1:
+        raise ValueError(f"perft divide needs depth >= 1, got {depth}")
+    children = _legal_children(position, backend, backend.prepare(position.occupied()))
+    if depth == 1:
+        return [(move, 1) for move, _, _ in children]
+    return [(move, _perft(child, depth - 1, backend, child_context)) for move, child, child_context in children]
 
 
 def _perft(position: Position, depth: int, backend: AttackBackend, context: Any) -> int:

@@ -2,13 +2,15 @@
 
 A Position is an immutable value: twelve piece bitboards (white then black,
 pawn through king), the side to move, castling rights as a 4-bit mask and
-an optional en-passant target square.
+an optional en-passant target square.  It also carries each colour's
+occupancy, the OR of that colour's six piece boards: the four-argument
+constructor derives it from the pieces, and make_move keeps it
+incrementally, XORing the squares a move touches into the parent's boards.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from .bitboard import (
     KING_ATTACKS, KNIGHT_ATTACKS, PAWN_ATTACKS, Bitboard, Square, make_square, square_index, square_name,
@@ -64,30 +66,51 @@ class FenError(ValueError):
     """Raised for malformed FEN or EPD input."""
 
 
-@dataclass(frozen=True)
-class Position:
+class _PositionFields(NamedTuple):
     pieces: tuple[Bitboard, ...]  # 12 boards: color * 6 + piece_type
     side_to_move: int
     castling: int
     ep_square: Square | None
+    occupancy: tuple[Bitboard, Bitboard]  # (white, black): each colour's pieces ORed
+
+
+class Position(_PositionFields):
+    """A board position; ``Position(pieces, side, castling, ep)`` derives the occupancy.
+
+    ``Position._make`` takes all five fields as they are, occupancy included:
+    make_move builds its children that way without deriving it again.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, pieces: tuple[Bitboard, ...], side_to_move: int, castling: int, ep_square: Square | None
+    ) -> Position:
+        white = black = 0
+        for board in pieces[:6]:
+            white |= board
+        for board in pieces[6:]:
+            black |= board
+        return tuple.__new__(cls, (pieces, side_to_move, castling, ep_square, (white, black)))
+
+    def __getnewargs__(self) -> tuple:
+        return self[:4]  # copy and pickle go through the four-argument constructor
+
+    def _replace(self, **changes: Any) -> Position:
+        """A copy with some of the four public fields changed; the occupancy is derived again."""
+        if "occupancy" in changes:
+            raise TypeError("occupancy is derived from pieces")
+        return Position(*_PositionFields._replace(self, **changes)[:4])
 
     def piece_bb(self, color: int, piece_type: int) -> Bitboard:
         return self.pieces[color * 6 + piece_type]
 
     def color_bb(self, color: int) -> Bitboard:
-        base = color * 6
-        boards = self.pieces
-        return (
-            boards[base]
-            | boards[base + 1]
-            | boards[base + 2]
-            | boards[base + 3]
-            | boards[base + 4]
-            | boards[base + 5]
-        )
+        return self.occupancy[color]
 
     def occupied(self) -> Bitboard:
-        return self.color_bb(WHITE) | self.color_bb(BLACK)
+        white, black = self.occupancy
+        return white | black
 
     def piece_at(self, square: Square) -> tuple[int, int] | None:
         """(color, piece_type) on *square*, or None."""

@@ -54,6 +54,20 @@ def test_perft_negative_depth_fails(capsys):
     assert "depth" in capsys.readouterr().err
 
 
+def test_perft_divide_prints_each_root_move_then_total(capsys):
+    assert main(["perft", "--depth", "2", "--divide"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 21
+    assert "e2e4: 20" in lines
+    assert sum(int(line.split(": ")[1]) for line in lines[:-1]) == int(lines[-1]) == 400
+
+
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_perft_divide_depth_below_one_fails(capsys, depth):
+    assert main(["perft", "--depth", depth, "--divide"]) == 1
+    assert "depth" in capsys.readouterr().err
+
+
 def test_corpus_generate_to_file(tmp_path, capsys):
     path = tmp_path / "gen.epd"
     assert main(["corpus", "generate", "--corpus", str(path), "--count", "15", "--seed", "9"]) == 0

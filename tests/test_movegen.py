@@ -29,6 +29,7 @@ from chesslut.movegen import (
     in_check,
     make_move,
     perft,
+    perft_divide,
 )
 from chesslut.position import (
     BLACK,
@@ -41,6 +42,7 @@ from chesslut.position import (
     PAWN,
     QUEEN,
     ROOK,
+    STARTING_FEN,
     WHITE,
     Position,
     parse_fen,
@@ -380,6 +382,23 @@ def test_perft_backends_agree(direct_backend, rotated_backend):
         assert perft(pos, depth, rotated_backend) == expected, fen
 
 
+@pytest.mark.parametrize("fen, depth, expected", [(KIWIPETE, 2, 2039), (STARTING_FEN, 3, 8902)])
+def test_perft_divide_sums_to_perft(direct_backend, rotated_backend, fen, depth, expected):
+    pos = parse_fen(fen)
+    for backend in (direct_backend, rotated_backend):
+        divide = perft_divide(pos, depth, backend)
+        assert [move for move, _ in divide] == generate_legal(pos, backend)
+        assert sum(count for _, count in divide) == expected == perft(pos, depth, backend)
+        for move, count in divide:
+            assert count == perft(make_move(pos, move), depth - 1, backend), move.uci()
+
+
+@pytest.mark.parametrize("depth", [0, -1])
+def test_perft_divide_rejects_depth_below_one(direct_backend, depth):
+    with pytest.raises(ValueError, match="depth >= 1"):
+        perft_divide(startpos(), depth, direct_backend)
+
+
 # -- incremental context upkeep -----------------------------------------------
 
 # Squares whose occupancy a move flips, by kind; a promotion counts as its
@@ -467,6 +486,35 @@ def test_move_encoding_round_trips_on_published_positions(direct_backend):
             assert make_move(position, int(move)) == make_move(position, move), move
             kinds[move.kind] += 1
     assert set(kinds) == {QUIET, CAPTURE, DOUBLE_PUSH, EP_CAPTURE, CASTLE, PROMOTION}
+
+
+def test_make_move_keeps_occupancy_consistent(direct_backend, rotated_backend):
+    """Every legal move of the published roots and of their children, on both
+    backends: the child's incrementally kept colour boards must equal those
+    derived from its pieces, and the child must equal the Position rebuilt
+    from its four public fields and the one read back from its FEN."""
+    kinds = Counter()
+    for backend in (direct_backend, rotated_backend):
+        for position in published_roots_and_children(backend):
+            parent_occ = position.occupied()
+            for move, child, _ in _legal_children(position, backend, backend.prepare(parent_occ)):
+                for color in (WHITE, BLACK):
+                    derived = 0
+                    for board in child.pieces[color * 6 : color * 6 + 6]:
+                        derived |= board
+                    assert child.color_bb(color) == derived, (move.uci(), color)
+                assert child == Position(child.pieces, child.side_to_move, child.castling, child.ep_square), move.uci()
+                assert child == parse_fen(serialize_fen(child)), move.uci()
+                kinds[move.kind, bool(parent_occ >> move.to_square & 1)] += 1
+    assert set(kinds) == {
+        (QUIET, False),
+        (DOUBLE_PUSH, False),
+        (CAPTURE, True),
+        (EP_CAPTURE, False),
+        (CASTLE, False),
+        (PROMOTION, False),
+        (PROMOTION, True),
+    }
 
 
 def test_move_repr_names_its_fields(direct_backend):

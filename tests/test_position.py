@@ -1,6 +1,10 @@
+import copy
+import pickle
+
 import pytest
 
 from chesslut.bitboard import C4, bit_index, popcount, square_index
+from chesslut.movegen import generate_legal, make_move
 from chesslut.position import (
     BISHOP,
     BLACK,
@@ -8,6 +12,7 @@ from chesslut.position import (
     STARTING_FEN,
     WHITE,
     FenError,
+    Position,
     parse_epd_line,
     parse_fen,
     serialize_fen,
@@ -169,3 +174,39 @@ def test_full_fen_line_parses_as_epd():
     assert parsed is not None
     assert parsed[0] == startpos()
     assert parsed[1] is None
+
+
+def test_position_is_an_immutable_hashable_value(direct_backend):
+    pos = startpos()
+    for field in Position._fields:
+        with pytest.raises(AttributeError):
+            setattr(pos, field, getattr(pos, field))
+    with pytest.raises(AttributeError):
+        pos.extra = 1
+
+    def play(position, *ucis):
+        for uci in ucis:
+            position = make_move(position, next(m for m in generate_legal(position, direct_backend) if m.uci() == uci))
+        return position
+
+    # Reached by make_move and by parse_fen: equal, with equal hashes.
+    for played, fen in (
+        (play(pos, "e2e4"), "rnbqkbnr/pppppppp/8/8/4P3/8/PPPP1PPP/RNBQKBNR b KQkq e3"),
+        (play(pos, "g1f3", "g8f6", "f3g1", "f6g8"), STARTING_FEN),
+    ):
+        parsed = parse_fen(fen)
+        assert played == parsed and hash(played) == hash(parsed)
+        assert played.occupancy == parsed.occupancy
+
+    # The four-argument constructor derives the occupancy from the pieces.
+    built = Position(pos.pieces, pos.side_to_move, pos.castling, pos.ep_square)
+    assert built == pos and built.occupancy == (0xFFFF, 0xFFFF << 48)
+    assert built.color_bb(WHITE) | built.color_bb(BLACK) == built.occupied()
+
+    # Copies, pickles and _replace go through it too, so the occupancy stays derived.
+    assert copy.copy(pos) == pos and copy.deepcopy(pos) == pos
+    assert pickle.loads(pickle.dumps(pos)) == pos
+    no_white_pawns = pos._replace(pieces=(0,) + pos.pieces[1:])
+    assert no_white_pawns.occupancy == (0xFF, 0xFFFF << 48)
+    with pytest.raises(TypeError):
+        pos._replace(occupancy=(0, 0))
