@@ -61,8 +61,9 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_perft(args: argparse.Namespace) -> int:
-    if args.depth < 0:
-        print("error: depth must be >= 0", file=sys.stderr)
+    min_depth = 1 if args.divide else 0
+    if args.depth < min_depth:
+        print(f"error: depth must be >= {min_depth}", file=sys.stderr)
         return 1
     position = parse_fen(args.fen)
     if args.backend == "rotated":
