@@ -3,8 +3,10 @@
 Generation is parameterized by an attack backend so the direct-lookup
 tables and the rotated-bitboard baseline share every code path except the
 sliding-piece attack queries and the upkeep of their occupancy context.
-The direct backend resolves each square's masks and first-level table
-entries when it is built, so a query is its masked second-level probes.
+Both backends resolve each square when they are built: the direct one its
+masks and first-level table entries, so a query is its masked second-level
+probes; the rotated one each line's shift and 64-entry attack table, so a
+query is a shift, a mask and an index per line.
 A move is an int: ``Move`` subclasses int, and its value packs the move as
 ``from | to << 6 | piece << 12 | kind << 15 | promotion << 18``.  The
 generator ORs each target onto its from-square's code, make_move decodes
@@ -38,13 +40,11 @@ from .position import (
 )
 from .rotated import (
     LineAttackArrays,
+    LineLayout,
     RotatedState,
     RotationMaps,
-    bishop_attacks_rotated,
     derive_rotated_state,
     make_rotated_state,
-    queen_attacks_rotated,
-    rook_attacks_rotated,
 )
 from .tables import AttackTables
 
@@ -186,13 +186,38 @@ class DirectBackend:
 
 
 class RotatedBackend:
-    """Serves sliders from rotated occupancy boards and first-rank bytes."""
+    """Serves sliders from rotated occupancy boards, in Crafty's per-square form.
+
+    Each square is resolved here, once per line family: the line's shift
+    past its first square, and a 64-entry table indexed by the line's six
+    inner bits, the only ones that can block (a line's end squares are
+    attacked whether occupied or not).  An entry is the line's first-rank
+    walk mapped back through its ``line_to_board`` table, the same int
+    objects that table holds.  A query is one dict probe, then a shift, a
+    mask and an index per line, all in one frame.  The module functions in
+    ``rotated`` compute the same attacks in their composed form.
+    """
 
     name = "rotated"
 
     def __init__(self, maps: RotationMaps, arrays: LineAttackArrays) -> None:
         self.maps = maps
         self.arrays = arrays
+
+        def resolve(line: LineLayout, sq: Square) -> tuple[int, tuple[Bitboard, ...]]:
+            board = line.board[sq]
+            walk = arrays[line.pos[sq]]
+            return line.shift[sq] + 1, tuple(board[walk[inner << 1]] for inner in range(64))
+
+        self._rook: dict[Square, tuple] = {}
+        self._bishop: dict[Square, tuple] = {}
+        self._queen: dict[Square, tuple] = {}
+        for sq in range(64):
+            rook = resolve(maps.rank_line, sq) + resolve(maps.file_line, sq)
+            bishop = resolve(maps.ne_line, sq) + resolve(maps.nw_line, sq)
+            self._rook[sq] = rook
+            self._bishop[sq] = bishop
+            self._queen[sq] = rook + bishop
 
     def prepare(self, occupied: Bitboard, parent: RotatedState | None = None) -> RotatedState:
         """Rotate *occupied* afresh, or flip only the squares that differ from *parent*."""
@@ -204,13 +229,31 @@ class RotatedBackend:
         return state
 
     def rook(self, context: RotatedState, square: Square) -> Bitboard:
-        return rook_attacks_rotated(context, self.maps, self.arrays, square)
+        try:
+            rank_shift, rank_table, file_shift, file_table = self._rook[square]
+        except KeyError:
+            raise off_board(square) from None
+        return rank_table[context.occ >> rank_shift & 63] | file_table[context.occ90 >> file_shift & 63]
 
     def bishop(self, context: RotatedState, square: Square) -> Bitboard:
-        return bishop_attacks_rotated(context, self.maps, self.arrays, square)
+        try:
+            ne_shift, ne_table, nw_shift, nw_table = self._bishop[square]
+        except KeyError:
+            raise off_board(square) from None
+        return ne_table[context.occ45_ne >> ne_shift & 63] | nw_table[context.occ45_nw >> nw_shift & 63]
 
     def queen(self, context: RotatedState, square: Square) -> Bitboard:
-        return queen_attacks_rotated(context, self.maps, self.arrays, square)
+        try:
+            rank_shift, rank_table, file_shift, file_table, ne_shift, ne_table, nw_shift, nw_table = self._queen[square]
+        except KeyError:
+            raise off_board(square) from None
+        occ, occ90, occ45_ne, occ45_nw = context
+        return (
+            rank_table[occ >> rank_shift & 63]
+            | file_table[occ90 >> file_shift & 63]
+            | ne_table[occ45_ne >> ne_shift & 63]
+            | nw_table[occ45_nw >> nw_shift & 63]
+        )
 
 
 def is_square_attacked(
@@ -395,7 +438,7 @@ def make_move(position: Position, move: int) -> Position:
         ep = from_sq + 8 if us == WHITE else from_sq - 8
 
     occupancy = (own, enemy) if us == WHITE else (enemy, own)
-    return Position._make((tuple(pieces), them, castling, ep, occupancy))
+    return tuple.__new__(Position, (tuple(pieces), them, castling, ep, occupancy))
 
 
 def in_check(position: Position, color: int, backend: AttackBackend, context: Any = None) -> bool:

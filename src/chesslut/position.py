@@ -77,8 +77,9 @@ class _PositionFields(NamedTuple):
 class Position(_PositionFields):
     """A board position; ``Position(pieces, side, castling, ep)`` derives the occupancy.
 
-    ``Position._make`` takes all five fields as they are, occupancy included:
-    make_move builds its children that way without deriving it again.
+    ``tuple.__new__(Position, fields)`` takes all five fields as they are,
+    occupancy included: make_move builds its children that way without
+    deriving it again, and without ``_make``'s classmethod call and length check.
     """
 
     __slots__ = ()

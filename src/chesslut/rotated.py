@@ -16,14 +16,21 @@ Layouts:
 
 Every line family, ranks of the main board included, has one
 ``LineLayout``: per square, the bit offset of its line, its position in the
-line and the line's ``tables.line_to_board`` table.  A lookup is the same
-for all four: shift the line's occupancy byte down, index the 8x256
-first-rank attack array with the mover's position, and map the attack byte
-back to board squares through the line's table, in one tuple lookup.  That
-array is ``tables.build_line_attack_bytes``, the walk the direct tables are
-built from.  The byte of a short diagonal also holds bits of the next
-diagonal above the line's end; those can only cut attacks off past that
-end, and the line's table maps every bit past the end to no square.
+line and the line's ``tables.line_to_board`` table.  The module functions
+below are the composed reference form of a lookup, the same for all four
+lines: shift the line's occupancy byte down, index the 8x256 first-rank
+attack array with the mover's position, and map the attack byte back to
+board squares through the line's table.  That array is
+``tables.build_line_attack_bytes``, the walk the direct tables are built
+from.  The byte of a short diagonal also holds bits of the next diagonal
+above the line's end; those can only cut attacks off past that end, and the
+line's table maps every bit past the end to no square.
+
+``movegen.RotatedBackend`` resolves that composition once per square, as
+Crafty does (Hyatt, ICCA J. 22(4), 1999): a shift past the line's first
+square and a 64-entry table of board attacks indexed by the line's six
+inner bits, since a line's end squares never block anything.  Its query is
+then one shift, one mask and one index per line.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from chesslut.movegen import (
     QUIET,
     DirectBackend,
     Move,
+    RotatedBackend,
     _legal_children,
     build_leaper_tables,
     encode_move,
@@ -50,7 +51,12 @@ from chesslut.position import (
     startpos,
 )
 from chesslut.rays import bishop_rays, queen_rays, rook_rays
-from chesslut.rotated import make_rotated_state
+from chesslut.rotated import (
+    bishop_attacks_rotated,
+    make_rotated_state,
+    queen_attacks_rotated,
+    rook_attacks_rotated,
+)
 from chesslut.store import load_tables, save_tables
 from chesslut.tables import bishop_attacks, queen_attacks, rook_attacks
 
@@ -330,6 +336,39 @@ def test_direct_backend_matches_table_queries_and_rays(attack_tables, source):
             assert rook == rook_attacks(tables, occ, sq) == rook_rays(occ, sq)
             assert bishop == bishop_attacks(tables, occ, sq) == bishop_rays(occ, sq)
             assert queen == queen_attacks(tables, occ, sq) == queen_rays(occ, sq)
+
+
+def test_rotated_backend_matches_module_queries_and_rays(rotation):
+    # The backend resolves each square's shift and 64-entry table when it is
+    # built; the module functions compose the first-rank walk with the line's
+    # table on every query.  The full board puts the next diagonal's bits in
+    # every short diagonal's window.
+    maps, arrays = rotation
+    backend = RotatedBackend(maps, arrays)
+    for occ in seeded_boards():
+        state = make_rotated_state(occ, maps)
+        for sq in range(64):
+            rook = backend.rook(state, sq)
+            bishop = backend.bishop(state, sq)
+            queen = backend.queen(state, sq)
+            assert rook == rook_attacks_rotated(state, maps, arrays, sq) == rook_rays(occ, sq)
+            assert bishop == bishop_attacks_rotated(state, maps, arrays, sq) == bishop_rays(occ, sq)
+            assert queen == queen_attacks_rotated(state, maps, arrays, sq) == queen_rays(occ, sq)
+
+
+def test_rotated_backend_tables_share_line_ints(rotation):
+    # Every per-square entry is an int the line's line_to_board table already
+    # holds, so the resolved tables cost tuple slots and no new ints.
+    maps, arrays = rotation
+    backend = RotatedBackend(maps, arrays)
+    lines = (maps.rank_line, maps.file_line, maps.ne_line, maps.nw_line)
+    for sq in range(64):
+        resolved = backend._rook[sq] + backend._bishop[sq]
+        assert backend._queen[sq] == resolved
+        for line, table in zip(lines, resolved[1::2]):
+            assert len(table) == 64
+            line_ints = {id(bb) for bb in line.board[sq]}
+            assert all(id(bb) in line_ints for bb in table)
 
 
 @pytest.mark.parametrize("square", [-1, 64])
