@@ -4,6 +4,7 @@ Run:  python demos/02_rotated_baseline.py
 """
 
 from chesslut import (
+    RotatedBackend,
     build_line_attack_bytes,
     build_rotation_maps,
     make_rotated_state,
@@ -31,11 +32,30 @@ for label, board in (
 ):
     print(f"\n{label}: {board:#018x}")
 
-print("\nA file lookup needs shift + mask + byte table + map back to board squares:")
+print("\nThe composed lookup: shift + mask out the a-file's byte, index the")
+print("first-rank walk with a1's position in the file, map the attack byte back:")
 a1 = square_index("a1")
-file_byte = (state.occ90 >> maps.file_line.shift[a1]) & 0xFF
+file = maps.file_line
+file_byte = (state.occ90 >> file.shift[a1]) & 0xFF
+composed = file.board[a1][arrays[file.pos[a1]][file_byte]]
 print(f"  a-file occupancy byte from the rotated board: {file_byte:#04x}")
-attacks = rook_attacks_rotated(state, maps, arrays, a1)
+
+print("\nCrafty's per-square form does the indexing and the map-back once, when")
+print("the backend is built.  A line's end squares cannot block anything, so a1")
+print("gets a 64-entry table indexed by the file's six inner bits, and a query is")
+print("one shift, one mask and one index:")
+table = tuple(file.board[a1][arrays[file.pos[a1]][inner << 1]] for inner in range(64))
+inner_bits = (state.occ90 >> (file.shift[a1] + 1)) & 63
+resolved = table[inner_bits]
+print(f"  a-file inner bits: {inner_bits:#04x}")
+print(f"  composed {composed:#018x}, resolved {resolved:#018x}: {'same' if composed == resolved else 'MISMATCH'}")
+
+print("\nRotatedBackend resolves every square and line that way; its rook query")
+print("ORs the rank's and the file's entries (the module function composes both):")
+backend = RotatedBackend(maps, arrays)
+attacks = backend.rook(state, a1)
+if attacks != rook_attacks_rotated(state, maps, arrays, a1):
+    print("MISMATCH")
 print(pretty(attacks))
 print("\nThe direct tables skip the rotation bookkeeping entirely: the masked")
 print("occupancy bitboard is itself the hash key.")

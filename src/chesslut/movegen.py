@@ -202,7 +202,6 @@ class RotatedBackend:
 
     def __init__(self, maps: RotationMaps, arrays: LineAttackArrays) -> None:
         self.maps = maps
-        self.arrays = arrays
 
         def resolve(line: LineLayout, sq: Square) -> tuple[int, tuple[Bitboard, ...]]:
             board = line.board[sq]

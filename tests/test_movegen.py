@@ -21,7 +21,6 @@ from chesslut.movegen import (
     QUIET,
     DirectBackend,
     Move,
-    RotatedBackend,
     _legal_children,
     build_leaper_tables,
     encode_move,
@@ -338,13 +337,13 @@ def test_direct_backend_matches_table_queries_and_rays(attack_tables, source):
             assert queen == queen_attacks(tables, occ, sq) == queen_rays(occ, sq)
 
 
-def test_rotated_backend_matches_module_queries_and_rays(rotation):
+def test_rotated_backend_matches_module_queries_and_rays(rotation, rotated_backend):
     # The backend resolves each square's shift and 64-entry table when it is
     # built; the module functions compose the first-rank walk with the line's
     # table on every query.  The full board puts the next diagonal's bits in
     # every short diagonal's window.
     maps, arrays = rotation
-    backend = RotatedBackend(maps, arrays)
+    backend = rotated_backend
     for occ in seeded_boards():
         state = make_rotated_state(occ, maps)
         for sq in range(64):
@@ -356,11 +355,11 @@ def test_rotated_backend_matches_module_queries_and_rays(rotation):
             assert queen == queen_attacks_rotated(state, maps, arrays, sq) == queen_rays(occ, sq)
 
 
-def test_rotated_backend_tables_share_line_ints(rotation):
+def test_rotated_backend_tables_share_line_ints(rotation, rotated_backend):
     # Every per-square entry is an int the line's line_to_board table already
     # holds, so the resolved tables cost tuple slots and no new ints.
-    maps, arrays = rotation
-    backend = RotatedBackend(maps, arrays)
+    maps, _ = rotation
+    backend = rotated_backend
     lines = (maps.rank_line, maps.file_line, maps.ne_line, maps.nw_line)
     for sq in range(64):
         resolved = backend._rook[sq] + backend._bishop[sq]
