@@ -18,6 +18,12 @@ from its twelve piece boards.  The king-safety test reads the attacker's six
 boards with one slice.  The search (perft, perft_divide, generate_legal)
 derives each child's context from its parent's, so the rotated backend pays
 the incremental upkeep of the classical design rather than a full rotation.
+Its king-safety filter works from the parent: two slider queries from the
+king square tell whether the side to move is in check and which of its
+pieces may be pinned, and only the children of a parent in check, king
+moves, en-passant captures and moves of those pieces get the full test.
+Every other child is legal by the pinned-piece argument (see
+``_legal_children``), though it is still made and its context still derived.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .position import (
     WHITE,
     Position,
 )
+from .rays import bishop_rays, rook_rays
 from .rotated import (
     LineAttackArrays,
     LineLayout,
@@ -206,7 +213,7 @@ class RotatedBackend:
         def resolve(line: LineLayout, sq: Square) -> tuple[int, tuple[Bitboard, ...]]:
             board = line.board[sq]
             walk = arrays[line.pos[sq]]
-            return line.shift[sq] + 1, tuple(board[walk[inner << 1]] for inner in range(64))
+            return line.shift[sq] + 1, tuple([board[attack] for attack in walk[:128:2]])
 
         self._rook: dict[Square, tuple] = {}
         self._bishop: dict[Square, tuple] = {}
@@ -440,6 +447,13 @@ def make_move(position: Position, move: int) -> Position:
     return tuple.__new__(Position, (tuple(pieces), them, castling, ep, occupancy))
 
 
+# Each square's rook and bishop lines on the empty board: an enemy slider can
+# pin a piece to a king on that square, or check it, only from these lines.
+_ROOK_LINES = tuple(rook_rays(0, sq) for sq in range(64))
+_BISHOP_LINES = tuple(bishop_rays(0, sq) for sq in range(64))
+_EVERY_SQUARE = (1 << 64) - 1
+
+
 def in_check(position: Position, color: int, backend: AttackBackend, context: Any = None) -> bool:
     """True if *color*'s king is attacked; a side without a king is never in check.
 
@@ -458,16 +472,50 @@ def _legal_children(
 ) -> list[tuple[Move, Position, Any]]:
     """(move, child, child context) for each legal move, in generation order.
 
-    Each child's context is derived from *context*, its parent's, and then
-    serves both the king-safety test and the child's own generation.
+    Each child is made and its context derived from *context*, its parent's;
+    that context serves the king-safety test and the child's own generation.
+    The parent's king square gets one rook and one bishop query, which decide
+    whether the side to move is in check and which own pieces are suspects:
+    the first blockers on the king's rook lines when an enemy rook or queen
+    stands on those lines of the empty board, and likewise for bishop lines.
+    ``in_check`` then runs only on the children of a parent in check, king
+    moves (castling included), en-passant captures (they empty two squares)
+    and moves from a suspect square.  Any other move is legal: the king
+    stays put, no enemy piece moves or appears, and the one square the move
+    empties is no first blocker between the king and an enemy slider of the
+    matching type, so no line to the king opens.
     """
     us = position.side_to_move
+    king = position.pieces[us * 6 + KING]
+    suspects = 0  # from-squares whose children must pass in_check
+    if king:
+        ksq = king.bit_length() - 1
+        base = (1 - us) * 6
+        pawns, knights, bishops, rooks, queens, kings = position.pieces[base : base + 6]
+        rook_seen = backend.rook(context, ksq)
+        bishop_seen = backend.bishop(context, ksq)
+        if (
+            PAWN_ATTACKS[us][ksq] & pawns
+            or KNIGHT_ATTACKS[ksq] & knights
+            or KING_ATTACKS[ksq] & kings
+            or rook_seen & (rooks | queens)
+            or bishop_seen & (bishops | queens)
+        ):
+            suspects = _EVERY_SQUARE
+        else:
+            suspects = king
+            own = position.occupancy[us]
+            if _ROOK_LINES[ksq] & (rooks | queens):
+                suspects |= rook_seen & own
+            if _BISHOP_LINES[ksq] & (bishops | queens):
+                suspects |= bishop_seen & own
     prepare = backend.prepare
     children = []
     for move in generate_pseudo_legal(position, backend, context):
         child = make_move(position, move)
         child_context = prepare(child.occupied(), context)
-        if not in_check(child, us, backend, child_context):
+        tested = suspects >> (move & 63) & 1 or move >> 15 & 7 == EP_CAPTURE
+        if not (tested and in_check(child, us, backend, child_context)):
             children.append((move, child, child_context))
     return children
 

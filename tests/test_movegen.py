@@ -560,3 +560,75 @@ def test_move_repr_names_its_fields(direct_backend):
     promotion = next(m for m in generate_legal(pos, direct_backend) if m.uci() == "e7e8q")
     assert repr(promotion) == "Move(e7e8q, piece=PAWN, kind=PROMOTION)"
     assert repr(encode_move(square_index("e1"), square_index("g1"), KING, CASTLE)) == "Move(e1g1, piece=KING, kind=CASTLE)"
+
+
+# -- pin-aware king-safety filter ---------------------------------------------
+
+
+def brute_force_children(position, backend):
+    """The oracle for _legal_children: make every pseudo-legal move and keep the
+    children whose mover's king is not attacked, each with its context built
+    from scratch."""
+    us = position.side_to_move
+    children = []
+    for move in generate_pseudo_legal(position, backend):
+        child = make_move(position, move)
+        child_context = backend.prepare(child.occupied())
+        if not in_check(child, us, backend, child_context):
+            children.append((move, child, child_context))
+    return children
+
+
+def assert_filter_matches_brute_force(position, backend):
+    fast = _legal_children(position, backend, backend.prepare(position.occupied()))
+    slow = brute_force_children(position, backend)
+    assert [move.uci() for move, _, _ in fast] == [move.uci() for move, _, _ in slow], serialize_fen(position)
+    assert fast == slow, serialize_fen(position)
+    return fast
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_legal_children_match_brute_force_on_playouts(direct_backend, rotated_backend, seed):
+    rng = random.Random(seed)
+    for fen in PUBLISHED:
+        position = parse_fen(fen)
+        for _ in range(24):
+            children = [
+                assert_filter_matches_brute_force(position, backend) for backend in (direct_backend, rotated_backend)
+            ][0]
+            if not children:
+                break
+            position = rng.choice(children)[1]
+
+
+# One position per case the filter must get right, with a pseudo-legal move
+# the king-safety test rejects there (None: every pseudo-legal move is legal)
+# and a legal move it keeps.
+FILTER_CASES = [
+    ("rook pin on a file", "4r2k/8/8/8/8/8/4B3/4K3 w - - 0 1", "e2d3", "e1d1"),
+    ("bishop pin on a diagonal", "7k/8/8/8/1b6/8/3N4/4K3 w - - 0 1", "d2f3", "e1e2"),
+    ("pinned piece moving along its pin line", "7k/4q3/8/8/8/4R3/8/4K3 w - - 0 1", "e3d3", "e3e7"),
+    ("en-passant rank pin", "8/8/8/KPp4r/8/8/8/7k w - c6 0 1", "b5c6", "b5b6"),
+    ("double check", "4r2k/8/8/8/8/R2n4/8/4K3 w - - 0 1", "a3d3", "e1d2"),
+    ("king steps back along the checking ray", "4r2k/8/8/8/8/8/4K3/8 w - - 0 1", "e2e1", "e2d2"),
+    ("castling next to an x-rayed square", "1r2k3/8/b7/8/8/8/8/R3K2R w KQ - 0 1", "e1f1", "e1c1"),
+    ("side with no king", "7k/8/8/8/8/8/4P3/R7 w - - 0 1", None, "a1a8"),
+]
+
+
+@pytest.mark.parametrize(
+    "fen, rejected, kept", [case[1:] for case in FILTER_CASES], ids=[case[0] for case in FILTER_CASES]
+)
+def test_legal_children_match_brute_force_on_hand_built_cases(
+    direct_backend, rotated_backend, fen, rejected, kept
+):
+    position = parse_fen(fen)
+    pseudo = uci_set(generate_pseudo_legal(position, direct_backend))
+    for backend in (direct_backend, rotated_backend):
+        legal = {move.uci() for move, _, _ in assert_filter_matches_brute_force(position, backend)}
+        assert kept in legal
+        if rejected is None:
+            assert legal == pseudo
+        else:
+            assert rejected in pseudo - legal
