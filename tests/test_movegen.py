@@ -594,9 +594,8 @@ def test_legal_children_match_brute_force_on_playouts(direct_backend, rotated_ba
     for fen in PUBLISHED:
         position = parse_fen(fen)
         for _ in range(24):
-            children = [
-                assert_filter_matches_brute_force(position, backend) for backend in (direct_backend, rotated_backend)
-            ][0]
+            children = assert_filter_matches_brute_force(position, direct_backend)
+            assert_filter_matches_brute_force(position, rotated_backend)
             if not children:
                 break
             position = rng.choice(children)[1]
@@ -612,7 +611,7 @@ FILTER_CASES = [
     ("en-passant rank pin", "8/8/8/KPp4r/8/8/8/7k w - c6 0 1", "b5c6", "b5b6"),
     ("double check", "4r2k/8/8/8/8/R2n4/8/4K3 w - - 0 1", "a3d3", "e1d2"),
     ("king steps back along the checking ray", "4r2k/8/8/8/8/8/4K3/8 w - - 0 1", "e2e1", "e2d2"),
-    ("castling next to an x-rayed square", "1r2k3/8/b7/8/8/8/8/R3K2R w KQ - 0 1", "e1f1", "e1c1"),
+    ("castling next to an x-rayed square", "1r2k3/8/b7/8/8/8/1P6/R3K2R w KQ - 0 1", "e1f1", "e1c1"),
     ("side with no king", "7k/8/8/8/8/8/4P3/R7 w - - 0 1", None, "a1a8"),
 ]
 
