@@ -18,10 +18,9 @@ from .corpus import DEFAULT_COUNT, generate_corpus, write_corpus
 from .movegen import DirectBackend, RotatedBackend, perft, perft_divide
 from .position import STARTING_FEN, FenError, parse_fen
 from .rays import bishop_rays, queen_rays, rook_rays
-from .rotated import build_line_attack_bytes, build_rotation_maps, make_rotated_state
-from .rotated import bishop_attacks_rotated, queen_attacks_rotated, rook_attacks_rotated
+from .rotated import build_line_attack_bytes, build_rotation_maps
 from .store import TableLoadError, load_tables, save_tables
-from .tables import AttackTables, bishop_attacks, build_attack_tables, queen_attacks, rook_attacks
+from .tables import AttackTables, build_attack_tables
 
 
 def _load_or_build_tables(path: str | None) -> AttackTables:
@@ -103,9 +102,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
-    tables = _load_or_build_tables(args.tables)
-    maps = build_rotation_maps()
-    arrays = build_line_attack_bytes()
+    direct_backend = DirectBackend(_load_or_build_tables(args.tables))
+    rotated_backend = RotatedBackend(build_rotation_maps(), build_line_attack_bytes())
     rng = random.Random(args.seed)
 
     mismatches = 0
@@ -114,16 +112,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if trial % 2:
             occupied &= rng.getrandbits(64)  # mix in sparser boards
         square = rng.randrange(64)
-        state = make_rotated_state(occupied, maps)
-        checks = (
-            ("rook", rook_rays(occupied, square), rook_attacks(tables, occupied, square),
-             rook_attacks_rotated(state, maps, arrays, square)),
-            ("bishop", bishop_rays(occupied, square), bishop_attacks(tables, occupied, square),
-             bishop_attacks_rotated(state, maps, arrays, square)),
-            ("queen", queen_rays(occupied, square), queen_attacks(tables, occupied, square),
-             queen_attacks_rotated(state, maps, arrays, square)),
-        )
-        for piece, expected, direct, rotated in checks:
+        direct_context = direct_backend.prepare(occupied)
+        rotated_context = rotated_backend.prepare(occupied)
+        for piece, oracle in (("rook", rook_rays), ("bishop", bishop_rays), ("queen", queen_rays)):
+            expected = oracle(occupied, square)
+            direct = getattr(direct_backend, piece)(direct_context, square)
+            rotated = getattr(rotated_backend, piece)(rotated_context, square)
             if direct != expected or rotated != expected:
                 mismatches += 1
                 print(
@@ -179,10 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--strict", action="store_true", help="fail on malformed corpus lines")
     p_bench.set_defaults(func=cmd_bench)
 
-    p_verify = sub.add_parser("verify", help="spot-check both backends against the ray oracle")
+    p_verify = sub.add_parser("verify", help="spot-check both search backends against the ray oracle")
     p_verify.add_argument("--trials", type=int, default=1000)
     p_verify.add_argument("--seed", type=int, default=1)
-    p_verify.add_argument("--tables", default=None)
+    p_verify.add_argument("--tables", default=None, help="load saved tables into the direct backend")
     p_verify.set_defaults(func=cmd_verify)
 
     p_corpus = sub.add_parser("corpus", help="corpus utilities")

@@ -16,12 +16,15 @@ and unmaking is just keeping the old value; it XORs the squares a move
 touches into the parent's colour boards, so no child derives its occupancy
 from its twelve piece boards.  The king-safety test reads the attacker's six
 boards with one slice.  The search (perft, perft_divide, generate_legal)
-derives each child's context from its parent's, so the rotated backend pays
-the incremental upkeep of the classical design rather than a full rotation.
-Its king-safety filter works from the parent: two slider queries from the
-king square tell whether the side to move is in check and which of its
-pieces may be pinned, and only the children of a parent in check, king
-moves, en-passant captures and moves of those pieces get the full test.
+derives each child's context from its parent's and the move, so the rotated
+backend pays the incremental upkeep of the classical design rather than a
+full rotation: as in Crafty's MakeMove, it flips the from-square's and, for
+a non-capture, the to-square's bits in its three rotated boards.  A search
+root is rotated from scratch, a byte at a time.  The king-safety filter
+works from the parent: two slider queries from the king square tell
+whether the side to move is in check and which of its pieces may be
+pinned, and only the children of a parent in check, king moves, en-passant
+captures and moves of those pieces get the full test.
 Every other child is legal by the pinned-piece argument (see
 ``_legal_children``), though it is still made and its context still derived.
 """
@@ -30,8 +33,7 @@ from __future__ import annotations
 
 from typing import Any, Protocol
 
-from .bitboard import KING_ATTACKS, KNIGHT_ATTACKS, PAWN_ATTACKS, Bitboard, Square, off_board, square_name
-from .bitboard import build_leaper_tables as build_leaper_tables  # still importable from here
+from .bitboard import FULL_BOARD, KING_ATTACKS, KNIGHT_ATTACKS, PAWN_ATTACKS, Bitboard, Square, off_board, square_name
 from .position import (
     BISHOP,
     BLACK,
@@ -110,13 +112,14 @@ class AttackBackend(Protocol):
     """Sliding-piece attack provider; context is backend-specific occupancy.
 
     ``prepare(occupied)`` builds the context for a board from scratch.
-    ``prepare(occupied, parent)`` builds it from *parent*, the context of a
-    board one move away: the upkeep a backend pays per move in the search.
+    ``prepare(occupied, parent, move)`` builds it from *parent*, the context
+    of the board *move* was made on: the upkeep a backend pays per move in
+    the search.
     """
 
     name: str
 
-    def prepare(self, occupied: Bitboard, parent: Any = None) -> Any: ...
+    def prepare(self, occupied: Bitboard, parent: Any = None, move: int = 0) -> Any: ...
 
     def context_from_state(self, state: RotatedState) -> Any: ...
 
@@ -158,7 +161,7 @@ class DirectBackend:
             self._bishop[sq] = bishop
             self._queen[sq] = rook + bishop
 
-    def prepare(self, occupied: Bitboard, parent: Bitboard | None = None) -> Bitboard:
+    def prepare(self, occupied: Bitboard, parent: Bitboard | None = None, move: int = 0) -> Bitboard:
         """The occupancy is the whole context: nothing to keep up."""
         return occupied
 
@@ -225,11 +228,30 @@ class RotatedBackend:
             self._bishop[sq] = bishop
             self._queen[sq] = rook + bishop
 
-    def prepare(self, occupied: Bitboard, parent: RotatedState | None = None) -> RotatedState:
-        """Rotate *occupied* afresh, or flip only the squares that differ from *parent*."""
+    def prepare(self, occupied: Bitboard, parent: RotatedState | None = None, move: int = 0) -> RotatedState:
+        """Rotate *occupied* afresh, or update *parent* by the squares *move* touches.
+
+        As in Crafty's MakeMove, the from-square's bits are flipped in the
+        three rotated boards, and so are the to-square's unless the parent
+        has that square occupied (a capture, promotion captures included).
+        Castling and en-passant captures touch a third square and go through
+        ``derive_rotated_state``, which flips every square that differs.
+        """
         if parent is None:
             return make_rotated_state(occupied, self.maps)
-        return derive_rotated_state(parent, occupied, self.maps)
+        kind = move >> 15 & 7
+        if kind == CASTLE or kind == EP_CAPTURE:
+            return derive_rotated_state(parent, occupied, self.maps)
+        flips = self.maps.flips
+        parent_occ, occ90, occ45_ne, occ45_nw = parent
+        flip90, flip_ne, flip_nw = flips[move & 63]
+        to_sq = move >> 6 & 63
+        if not parent_occ >> to_sq & 1:
+            to90, to_ne, to_nw = flips[to_sq]
+            flip90 ^= to90
+            flip_ne ^= to_ne
+            flip_nw ^= to_nw
+        return tuple.__new__(RotatedState, (occupied, occ90 ^ flip90, occ45_ne ^ flip_ne, occ45_nw ^ flip_nw))
 
     def context_from_state(self, state: RotatedState) -> RotatedState:
         return state
@@ -451,7 +473,6 @@ def make_move(position: Position, move: int) -> Position:
 # pin a piece to a king on that square, or check it, only from these lines.
 _ROOK_LINES = tuple(rook_rays(0, sq) for sq in range(64))
 _BISHOP_LINES = tuple(bishop_rays(0, sq) for sq in range(64))
-_EVERY_SQUARE = (1 << 64) - 1
 
 
 def in_check(position: Position, color: int, backend: AttackBackend, context: Any = None) -> bool:
@@ -472,8 +493,9 @@ def _legal_children(
 ) -> list[tuple[Move, Position, Any]]:
     """(move, child, child context) for each legal move, in generation order.
 
-    Each child is made and its context derived from *context*, its parent's;
-    that context serves the king-safety test and the child's own generation.
+    Each child is made and its context derived from the move and *context*,
+    its parent's; that context serves the king-safety test and the child's
+    own generation.
     The parent's king square gets one rook and one bishop query, which decide
     whether the side to move is in check and which own pieces are suspects:
     the first blockers on the king's rook lines when an enemy rook or queen
@@ -501,7 +523,7 @@ def _legal_children(
             or rook_seen & (rooks | queens)
             or bishop_seen & (bishops | queens)
         ):
-            suspects = _EVERY_SQUARE
+            suspects = FULL_BOARD
         else:
             suspects = king
             own = position.occupancy[us]
@@ -513,7 +535,7 @@ def _legal_children(
     children = []
     for move in generate_pseudo_legal(position, backend, context):
         child = make_move(position, move)
-        child_context = prepare(child.occupied(), context)
+        child_context = prepare(child.occupied(), context, move)
         tested = suspects >> (move & 63) & 1 or move >> 15 & 7 == EP_CAPTURE
         if not (tested and in_check(child, us, backend, child_context)):
             children.append((move, child, child_context))

@@ -31,6 +31,19 @@ Crafty does (Hyatt, ICCA J. 22(4), 1999): a shift past the line's first
 square and a 64-entry table of board attacks indexed by the line's six
 inner bits, since a line's end squares never block anything.  Its query is
 then one shift, one mask and one index per line.
+
+Keeping the rotated boards up is the design's price.  From scratch,
+``make_rotated_state`` rotates a board a byte at a time: the maps hold
+eight 256-entry tables, one per byte of the main board, whose entries pack
+that byte's squares in all three rotated boards side by side
+(``r90 | ne << 64 | nw << 128``), so eight lookups ORed together and split
+apart give the three boards.  ``rotate_occupancy``, one bit at a time, is
+the reference it is tested against.  In the search, a child's boards come
+from its parent's and the move, as in Crafty's MakeMove: the backend's
+``prepare`` flips the from-square's bits (``RotationMaps.flips``) and the
+to-square's unless that was a capture.  ``derive_rotated_state`` flips
+every square that differs and serves the moves that touch more squares,
+castling and en-passant captures.
 """
 
 from __future__ import annotations
@@ -38,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .bitboard import Bitboard, Square, off_board
+from .bitboard import FULL_BOARD, Bitboard, Square, off_board
 from .tables import FILE_LINES, NE_DIAGONALS, NW_DIAGONALS, RANK_LINES, LineAttackArrays, line_to_board
 from .tables import build_line_attack_bytes as build_line_attack_bytes  # the baseline's byte array
 
@@ -64,6 +77,8 @@ class RotationMaps:
     ne_line: LineLayout
     nw_line: LineLayout
     flips: tuple[tuple[Bitboard, Bitboard, Bitboard], ...]  # square -> its bit in each rotated board
+    # Byte k of the main board -> its squares' bits, packed r90 | ne << 64 | nw << 128.
+    byte_rotations: tuple[tuple[int, ...], ...]
 
 
 def _line_layout(lines: tuple[tuple[Bitboard, ...], ...]) -> tuple[tuple[int, ...], LineLayout]:
@@ -86,7 +101,7 @@ def _line_layout(lines: tuple[tuple[Bitboard, ...], ...]) -> tuple[tuple[int, ..
 
 
 def build_rotation_maps() -> RotationMaps:
-    """Build all three square remappings and the four line layouts."""
+    """Build the three square remappings, the four line layouts and the upkeep's flip and byte tables."""
     # Ranks lie in the main board in bit order, h square first.
     _, rank_line = _line_layout(tuple(line[::-1] for line in RANK_LINES))
     # 90 degrees: the h file is the lowest byte, each file in rank order.
@@ -94,11 +109,17 @@ def build_rotation_maps() -> RotationMaps:
     r45_ne, ne_line = _line_layout(NE_DIAGONALS)
     r45_nw, nw_line = _line_layout(NW_DIAGONALS)
     flips = tuple((1 << r90[sq], 1 << r45_ne[sq], 1 << r45_nw[sq]) for sq in range(64))
-    return RotationMaps(r90, r45_ne, r45_nw, rank_line, file_line, ne_line, nw_line, flips)
+    packed = tuple(bit90 | bit_ne << 64 | bit_nw << 128 for bit90, bit_ne, bit_nw in flips)
+    byte_rotations = tuple(line_to_board(packed[8 * k : 8 * k + 8]) for k in range(8))
+    return RotationMaps(r90, r45_ne, r45_nw, rank_line, file_line, ne_line, nw_line, flips, byte_rotations)
 
 
 def rotate_occupancy(occ: Bitboard, mapping: tuple[int, ...]) -> Bitboard:
-    """Apply a square remapping to every set bit of *occ*."""
+    """Apply a square remapping to every set bit of *occ*, one bit at a time.
+
+    The reference form of a rotation; ``make_rotated_state`` computes all
+    three a byte at a time.
+    """
     out = 0
     while occ:
         low = occ & -occ
@@ -121,12 +142,23 @@ class RotatedState(NamedTuple):
 
 
 def make_rotated_state(occ: Bitboard, maps: RotationMaps) -> RotatedState:
-    return RotatedState(
-        occ=occ,
-        occ90=rotate_occupancy(occ, maps.r90),
-        occ45_ne=rotate_occupancy(occ, maps.r45_ne),
-        occ45_nw=rotate_occupancy(occ, maps.r45_nw),
+    """Rotate *occ* from scratch: one table lookup per byte, all three boards at once.
+
+    Each byte's entry packs its squares' bits in the three rotated boards,
+    so the eight entries OR together into the three boards side by side.
+    """
+    t0, t1, t2, t3, t4, t5, t6, t7 = maps.byte_rotations
+    packed = (
+        t0[occ & 255]
+        | t1[occ >> 8 & 255]
+        | t2[occ >> 16 & 255]
+        | t3[occ >> 24 & 255]
+        | t4[occ >> 32 & 255]
+        | t5[occ >> 40 & 255]
+        | t6[occ >> 48 & 255]
+        | t7[occ >> 56]
     )
+    return RotatedState(occ, packed & FULL_BOARD, packed >> 64 & FULL_BOARD, packed >> 128)
 
 
 def derive_rotated_state(parent: RotatedState, occ: Bitboard, maps: RotationMaps) -> RotatedState:
@@ -134,7 +166,8 @@ def derive_rotated_state(parent: RotatedState, occ: Bitboard, maps: RotationMaps
 
     Each remapping is a bit permutation, so rotation distributes over XOR:
     rotating the difference and XORing it in equals rotating *occ* afresh.
-    A move changes one to four squares, against the ~30 a full rotation walks.
+    The search's upkeep reads the squares from the move instead, and comes
+    here only for castling and en-passant captures, which touch three or four.
     """
     delta = occ ^ parent.occ
     flips = maps.flips

@@ -1,6 +1,7 @@
 import pytest
 
 from chesslut.cli import main
+from chesslut.movegen import DirectBackend, RotatedBackend
 from chesslut.corpus import generate_corpus, write_corpus
 
 
@@ -158,6 +159,27 @@ def test_bench_saved_tables_roundtrip(small_corpus, tmp_path, capsys):
 def test_verify_reports_zero_mismatches(capsys):
     assert main(["verify", "--trials", "60", "--seed", "2"]) == 0
     assert "60 trials, 0 mismatches" in capsys.readouterr().out
+
+
+def test_verify_reads_saved_tables_into_the_direct_backend(tmp_path, capsys):
+    path = tmp_path / "t.bin"
+    assert main(["tables", "save", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--trials", "20", "--tables", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert f"loading tables from {path}" in captured.err
+    assert "20 trials, 0 mismatches" in captured.out
+
+
+@pytest.mark.parametrize("backend", [DirectBackend, RotatedBackend])
+def test_verify_fails_when_a_search_backend_is_wrong(monkeypatch, capsys, backend):
+    rook = backend.rook
+    monkeypatch.setattr(backend, "rook", lambda self, context, square: rook(self, context, square) ^ 1)
+    assert main(["verify", "--trials", "20", "--seed", "2"]) == 1
+    captured = capsys.readouterr()
+    assert "mismatch: rook" in captured.err
+    assert "mismatch: bishop" not in captured.err
+    assert "20 trials, 20 mismatches" in captured.out
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_engine import ref_legal_moves, ref_move_uci, ref_parse_fen, ref_perft
 
-from chesslut.bitboard import FULL_BOARD, popcount, square_index
+from chesslut.bitboard import FULL_BOARD, build_leaper_tables, popcount, square_index
 from chesslut.corpus import generate_corpus, write_corpus
 from chesslut.movegen import (
     CAPTURE,
@@ -22,7 +22,6 @@ from chesslut.movegen import (
     DirectBackend,
     Move,
     _legal_children,
-    build_leaper_tables,
     encode_move,
     generate_legal,
     generate_pseudo_legal,

@@ -4,6 +4,7 @@ import pytest
 
 from chesslut.bitboard import (
     A2, A8, B3, C4, D4, D5, E6, G1, H1, H2,
+    FULL_BOARD,
     bit_index,
     popcount,
     square_index,
@@ -87,6 +88,21 @@ def test_rotation_preserves_popcount(rotation):
         occ = rng.getrandbits(64)
         for mapping in (maps.r90, maps.r45_ne, maps.r45_nw):
             assert popcount(rotate_occupancy(occ, mapping)) == popcount(occ)
+
+
+def test_byte_table_rotation_matches_the_per_bit_reference(rotation):
+    maps, _ = rotation
+    rng = random.Random(43)
+    boards = [0, FULL_BOARD]
+    boards += [1 << sq for sq in range(64)]
+    boards += [value << 8 * k for k in range(8) for value in range(256)]
+    boards += [rng.getrandbits(64) for _ in range(500)]
+    for occ in boards:
+        state = make_rotated_state(occ, maps)
+        assert state.occ == occ
+        assert state.occ90 == rotate_occupancy(occ, maps.r90), hex(occ)
+        assert state.occ45_ne == rotate_occupancy(occ, maps.r45_ne), hex(occ)
+        assert state.occ45_nw == rotate_occupancy(occ, maps.r45_nw), hex(occ)
 
 
 def test_toggle_is_an_involution(rotation):
