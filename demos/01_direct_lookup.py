@@ -3,7 +3,7 @@
 Run:  python demos/01_direct_lookup.py
 """
 
-from chesslut import bishop_attacks, build_attack_tables, legal_targets, pretty
+from chesslut import bishop_attacks, build_attack_tables, pretty
 from chesslut.bitboard import C4, E2, E6, bit_index, square_name
 
 tables = build_attack_tables()
@@ -32,5 +32,5 @@ print("bishop_attacks() wraps both lookups:",
       bishop_attacks(tables, occupied, c4) == attacks, "\n")
 
 print("Step 3: drop friendly pieces to get move targets; e2 falls out.")
-targets = legal_targets(attacks, friendly=C4 | E2)
+targets = attacks & ~(C4 | E2)
 print(sorted(square_name(s) for s in range(64) if targets >> s & 1))

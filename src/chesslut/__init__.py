@@ -33,7 +33,6 @@ from .tables import (
     build_attack_tables,
     build_line_attack_bytes,
     build_masks,
-    legal_targets,
     queen_attacks,
     rook_attacks,
 )

@@ -20,7 +20,6 @@ from typing import TextIO
 from .movegen import AttackBackend, DirectBackend, RotatedBackend, generate_pseudo_legal
 from .position import FenError, Position, parse_epd_line
 from .rotated import RotatedState, build_line_attack_bytes, build_rotation_maps, make_rotated_state
-from .store import load_tables
 from .tables import AttackTables, build_attack_tables
 
 BACKEND_NAMES = ("direct", "rotated")
@@ -37,7 +36,6 @@ class BenchConfig:
     backends: tuple[str, ...] = BACKEND_NAMES
     repetitions: int = 10
     warmup: int = 2
-    tables_path: str | Path | None = None
     strict: bool = False
 
 
@@ -143,7 +141,7 @@ def run_bench(config: BenchConfig, tables: AttackTables | None = None) -> BenchR
 
     corpus = load_corpus(config.corpus_path, strict=config.strict)
     if tables is None:
-        tables = load_tables(config.tables_path) if config.tables_path else build_attack_tables()
+        tables = build_attack_tables()
     maps = build_rotation_maps()
     arrays = build_line_attack_bytes()
     boards = precompute_boards(corpus, maps)

@@ -12,7 +12,7 @@ key in this package depends on this order; do not change it.
 
 from __future__ import annotations
 
-from typing import Iterator, TypeAlias
+from typing import TypeAlias
 
 Bitboard: TypeAlias = int
 Square: TypeAlias = int  # 0..63
@@ -89,14 +89,6 @@ def bit_index(bb: Bitboard) -> Square:
     if bb == 0 or bb & (bb - 1):
         raise ValueError("expected exactly one set bit")
     return bb.bit_length() - 1
-
-
-def squares_of(bb: Bitboard) -> Iterator[Square]:
-    """Indices of the set bits, lowest first."""
-    while bb:
-        low = bb & -bb
-        yield low.bit_length() - 1
-        bb &= bb - 1
 
 
 def _leaper_table(steps: tuple[tuple[int, int], ...]) -> tuple[Bitboard, ...]:

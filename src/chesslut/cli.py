@@ -90,10 +90,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         backends=backends,
         repetitions=args.reps,
         warmup=args.warmup,
-        tables_path=args.tables,
         strict=args.strict,
     )
-    report = run_bench(config)
+    report = run_bench(config, _load_or_build_tables(args.tables))
     print(f"benchmarked {report.corpus_size} positions x {report.repetitions} reps", file=sys.stderr)
     print(emit_report(report, args.format), end="")
     return 0

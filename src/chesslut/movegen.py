@@ -143,7 +143,6 @@ class DirectBackend:
     name = "direct"
 
     def __init__(self, tables: AttackTables) -> None:
-        self.tables = tables
         masks = tables.masks
         self._rook: dict[Square, tuple] = {}
         self._bishop: dict[Square, tuple] = {}

@@ -121,10 +121,6 @@ class Position(_PositionFields):
                 return divmod(idx, 6)
         return None
 
-    def king_square(self, color: int) -> Square | None:
-        bb = self.piece_bb(color, KING)
-        return bb.bit_length() - 1 if bb else None
-
 
 def _parse_board_field(field: str) -> list[Bitboard]:
     boards = [0] * 12

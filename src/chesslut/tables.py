@@ -209,15 +209,6 @@ def line_to_board(line: tuple[Bitboard, ...]) -> tuple[Bitboard, ...]:
 RANK_TO_FILE: tuple[Bitboard, ...] = line_to_board(FILE_LINES[7])
 
 
-def rank_to_file(value: int) -> Bitboard:
-    """Reflect a first-rank byte across the a8-h1 line onto the h file.
-
-    Bit i of the input becomes bit 8*i of the output: h1 stays h1, g1 maps
-    to h2, f1 to h3 and so on.
-    """
-    return RANK_TO_FILE[value & 0xFF]
-
-
 def build_file_attacks(rank_attacks: AttackTable) -> AttackTable:
     """File table derived from the rank table by a 90 degree reflection.
 
@@ -337,8 +328,3 @@ def bishop_attacks(tables: AttackTables, occupied: Bitboard, square: Square) -> 
 
 def queen_attacks(tables: AttackTables, occupied: Bitboard, square: Square) -> Bitboard:
     return rook_attacks(tables, occupied, square) | bishop_attacks(tables, occupied, square)
-
-
-def legal_targets(attacks: Bitboard, friendly: Bitboard) -> Bitboard:
-    """Drop squares occupied by friendly pieces from an attack set."""
-    return attacks & ~friendly

@@ -156,6 +156,24 @@ def test_bench_saved_tables_roundtrip(small_corpus, tmp_path, capsys):
     assert code == 0
 
 
+def test_bench_with_saved_tables_loads_them_instead_of_building(small_corpus, tmp_path, capsys, monkeypatch):
+    import chesslut.bench as bench_module
+    import chesslut.cli as cli_module
+
+    path = tmp_path / "tables.bin"
+    assert main(["tables", "save", str(path)]) == 0
+    capsys.readouterr()
+
+    def no_build():
+        pytest.fail("bench built tables although --tables names a file")
+
+    monkeypatch.setattr(bench_module, "build_attack_tables", no_build)
+    monkeypatch.setattr(cli_module, "build_attack_tables", no_build)
+    args = ["bench", "--corpus", str(small_corpus), "--reps", "1", "--warmup", "0", "--tables", str(path)]
+    assert main(args) == 0
+    assert f"loading tables from {path}" in capsys.readouterr().err
+
+
 def test_verify_reports_zero_mismatches(capsys):
     assert main(["verify", "--trials", "60", "--seed", "2"]) == 0
     assert "60 trials, 0 mismatches" in capsys.readouterr().out

@@ -8,6 +8,7 @@ from chesslut.movegen import generate_legal, make_move
 from chesslut.position import (
     BISHOP,
     BLACK,
+    KING,
     PAWN,
     STARTING_FEN,
     WHITE,
@@ -27,8 +28,8 @@ def test_startpos_layout():
     assert pos.castling == 0b1111
     assert pos.ep_square is None
     assert popcount(pos.piece_bb(WHITE, PAWN)) == 8
-    assert pos.king_square(WHITE) == square_index("e1")
-    assert pos.king_square(BLACK) == square_index("e8")
+    assert pos.piece_bb(WHITE, KING).bit_length() - 1 == square_index("e1")
+    assert pos.piece_bb(BLACK, KING).bit_length() - 1 == square_index("e8")
 
 
 def test_piece_bitboards_disjoint_at_startpos():
@@ -45,7 +46,7 @@ def test_lone_bishop_fen():
     assert pos.occupied() == C4
     assert pos.piece_bb(WHITE, BISHOP) == C4
     assert pos.piece_at(bit_index(C4)) == (WHITE, BISHOP)
-    assert pos.king_square(WHITE) is None
+    assert pos.piece_bb(WHITE, KING) == 0
 
 
 def test_rank_with_nine_files_rejected():

@@ -3,7 +3,6 @@ import random
 from chesslut.bitboard import (
     A2, A6, A8, B3, B5, B7, C4, C6, D3, D5, E2, E4, E6, F1, F3, F7, G1, G2, G8, H1, H2, H3,
     bit_index,
-    squares_of,
 )
 from chesslut.rays import (
     BISHOP_DIRECTIONS,
@@ -38,7 +37,7 @@ def test_full_board_stops_at_neighbors():
     for sq in range(64):
         for directions in (ROOK_DIRECTIONS, BISHOP_DIRECTIONS, QUEEN_DIRECTIONS):
             attacks = ray_attacks(full, sq, directions)
-            for target in squares_of(attacks):
+            for target in (t for t in range(64) if attacks >> t & 1):
                 df = abs((7 - (target & 7)) - (7 - (sq & 7)))
                 dr = abs((target >> 3) - (sq >> 3))
                 assert max(df, dr) == 1
@@ -59,7 +58,8 @@ def test_mutual_visibility():
     for _ in range(300):
         occ = rng.getrandbits(64) & rng.getrandbits(64)
         sq = rng.randrange(64)
-        for target in squares_of(ray_attacks(occ, sq, QUEEN_DIRECTIONS)):
+        attacks = ray_attacks(occ, sq, QUEEN_DIRECTIONS)
+        for target in (t for t in range(64) if attacks >> t & 1):
             assert ray_attacks(occ, target, QUEEN_DIRECTIONS) & (1 << sq)
 
 

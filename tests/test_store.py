@@ -70,6 +70,40 @@ def test_truncation_mid_stream_names_offset(attack_tables):
         load_tables(io.BytesIO(data[:cut]))
 
 
+# The rank table's block: its u64 count after magic and version, then 64 x 256 triples.
+_FIRST_BLOCK = 12 + 8
+_FIRST_BLOCK_END = _FIRST_BLOCK + 24 * 64 * 256
+_MASKS_SIZE = 4 * 64 * 8
+
+
+@pytest.mark.parametrize(
+    "cut",
+    [
+        0, 5, 8, 10, 12, 15,
+        _FIRST_BLOCK + 24 * 100 + 7,
+        _FIRST_BLOCK_END,
+        -4 - _MASKS_SIZE + 3 * 64 * 8 + 5,
+        -4,
+        -1,
+    ],
+    ids=lambda cut: f"cut{cut}",
+)
+def test_truncation_reports_the_stream_length(attack_tables, cut):
+    data = saved_bytes(attack_tables)
+    cut %= len(data)  # a negative cut counts from the end
+    with pytest.raises(TableLoadError) as excinfo:
+        load_tables(io.BytesIO(data[:cut]))
+    assert str(excinfo.value) == f"truncated stream at offset {cut}"
+
+
+def test_flipped_table_byte_fails_checksum_at_the_trailer(attack_tables):
+    data = bytearray(saved_bytes(attack_tables))
+    data[_FIRST_BLOCK + 24 * 100 + 11] ^= 0x10
+    with pytest.raises(TableLoadError) as excinfo:
+        load_tables(io.BytesIO(bytes(data)))
+    assert str(excinfo.value).startswith(f"checksum failure at offset {len(data) - 4}: ")
+
+
 def test_corrupted_payload_fails_checksum(attack_tables):
     data = bytearray(saved_bytes(attack_tables))
     data[len(data) // 2] ^= 0x04
@@ -93,6 +127,13 @@ def _zero_values(table):
             entries[occ_key] = 0
 
 
+G3 = 1 << 17
+
+
+def _zero_g3_mover(table):
+    table[G3] = dict.fromkeys(table[G3], 0)
+
+
 @pytest.mark.parametrize(
     "field, mutate",
     [
@@ -101,6 +142,8 @@ def _zero_values(table):
         pytest.param("file_attacks", lambda table: table.pop(1), id="file-mover-dropped"),
         pytest.param("diag_attacks_ne", lambda table: table.pop(0), id="ne-base-entry-dropped"),
         pytest.param("diag_attacks_nw", _zero_values, id="nw-values-zeroed"),
+        pytest.param("rank_attacks", _zero_g3_mover, id="rank-g3-mover-zeroed"),
+        pytest.param("diag_attacks_ne", _zero_g3_mover, id="ne-g3-mover-zeroed"),
     ],
 )
 def test_checksum_valid_but_malformed_table_rejected(attack_tables, field, mutate):
