@@ -70,7 +70,7 @@ def test_truncation_mid_stream_names_offset(attack_tables):
         load_tables(io.BytesIO(data[:cut]))
 
 
-# The rank table's block: its u64 count after magic and version, then 64 x 256 triples.
+# Offsets in a saved file: the rank table's 64 x 256 triples follow magic, version and their u64 count.
 _FIRST_BLOCK = 12 + 8
 _FIRST_BLOCK_END = _FIRST_BLOCK + 24 * 64 * 256
 _MASKS_SIZE = 4 * 64 * 8
