@@ -18,9 +18,10 @@ from its twelve piece boards.  The king-safety test reads the attacker's six
 boards with one slice.  The search (perft, perft_divide, generate_legal)
 derives each child's context from its parent's and the move, so the rotated
 backend pays the incremental upkeep of the classical design rather than a
-full rotation: as in Crafty's MakeMove, it flips the from-square's and, for
-a non-capture, the to-square's bits in its three rotated boards.  A search
-root is rotated from scratch, a byte at a time.  The king-safety filter
+full rotation: as in Crafty's MakeMove, it flips the from-square and, for a
+non-capture, the to-square in its four boards, kept in one int so that a
+square's flip is one XOR.  A search root is rotated from scratch, a byte at
+a time.  The king-safety filter
 works from the parent: two slider queries from the king square tell
 whether the side to move is in check and which of its pieces may be
 pinned, and only the children of a parent in check, king moves, en-passant
@@ -111,10 +112,14 @@ def encode_move(from_square: Square, to_square: Square, piece: int, kind: int, p
 class AttackBackend(Protocol):
     """Sliding-piece attack provider; context is backend-specific occupancy.
 
+    Both backends' contexts are plain ints: the occupancy itself for the
+    direct backend, and for the rotated one the occupancy and its three
+    rotated copies packed side by side, the value of a ``RotatedState``.
     ``prepare(occupied)`` builds the context for a board from scratch.
     ``prepare(occupied, parent, move)`` builds it from *parent*, the context
     of the board *move* was made on: the upkeep a backend pays per move in
-    the search.
+    the search.  ``context_from_state`` turns a precomputed ``RotatedState``
+    into the backend's context.
     """
 
     name: str
@@ -197,10 +202,14 @@ class DirectBackend:
 class RotatedBackend:
     """Serves sliders from rotated occupancy boards, in Crafty's per-square form.
 
-    Each square is resolved here, once per line family: the line's shift
-    past its first square, and a 64-entry table indexed by the line's six
-    inner bits, the only ones that can block (a line's end squares are
-    attacked whether occupied or not).  An entry is the line's first-rank
+    A context is the int value of a ``RotatedState``: the main board and its
+    three rotated copies side by side, 64 bits each.  Each square is
+    resolved here, once per line family: the line's shift past its first
+    square, plus its board's offset in the context (0, 64, 128 or 192), and
+    a 64-entry table indexed by the line's six inner bits, the only ones
+    that can block (a line's end squares are attacked whether occupied or
+    not).  Bits read past a line's end, of the next line or the next board,
+    only cut off attacks past that end.  An entry is the line's first-rank
     walk mapped back through its ``line_to_board`` table, the same int
     objects that table holds.  A query is one dict probe, then a shift, a
     mask and an index per line, all in one frame.  The module functions in
@@ -211,75 +220,70 @@ class RotatedBackend:
 
     def __init__(self, maps: RotationMaps, arrays: LineAttackArrays) -> None:
         self.maps = maps
+        self._flips = maps.flips
 
-        def resolve(line: LineLayout, sq: Square) -> tuple[int, tuple[Bitboard, ...]]:
+        def resolve(line: LineLayout, offset: int, sq: Square) -> tuple[int, tuple[Bitboard, ...]]:
             board = line.board[sq]
             walk = arrays[line.pos[sq]]
-            return line.shift[sq] + 1, tuple([board[attack] for attack in walk[:128:2]])
+            return offset + line.shift[sq] + 1, tuple([board[attack] for attack in walk[:128:2]])
 
         self._rook: dict[Square, tuple] = {}
         self._bishop: dict[Square, tuple] = {}
         self._queen: dict[Square, tuple] = {}
         for sq in range(64):
-            rook = resolve(maps.rank_line, sq) + resolve(maps.file_line, sq)
-            bishop = resolve(maps.ne_line, sq) + resolve(maps.nw_line, sq)
+            rook = resolve(maps.rank_line, 0, sq) + resolve(maps.file_line, 64, sq)
+            bishop = resolve(maps.ne_line, 128, sq) + resolve(maps.nw_line, 192, sq)
             self._rook[sq] = rook
             self._bishop[sq] = bishop
             self._queen[sq] = rook + bishop
 
-    def prepare(self, occupied: Bitboard, parent: RotatedState | None = None, move: int = 0) -> RotatedState:
+    def prepare(self, occupied: Bitboard, parent: int | None = None, move: int = 0) -> int:
         """Rotate *occupied* afresh, or update *parent* by the squares *move* touches.
 
-        As in Crafty's MakeMove, the from-square's bits are flipped in the
-        three rotated boards, and so are the to-square's unless the parent
-        has that square occupied (a capture, promotion captures included).
-        Castling and en-passant captures touch a third square and go through
+        As in Crafty's MakeMove, the from-square is flipped in all four
+        boards, and so is the to-square unless the parent has it occupied (a
+        capture, promotion captures included): one XOR per square.  Castling
+        and en-passant captures touch a third square and go through
         ``derive_rotated_state``, which flips every square that differs.
         """
         if parent is None:
-            return make_rotated_state(occupied, self.maps)
+            return int(make_rotated_state(occupied, self.maps))
         kind = move >> 15 & 7
         if kind == CASTLE or kind == EP_CAPTURE:
-            return derive_rotated_state(parent, occupied, self.maps)
-        flips = self.maps.flips
-        parent_occ, occ90, occ45_ne, occ45_nw = parent
-        flip90, flip_ne, flip_nw = flips[move & 63]
+            return int(derive_rotated_state(parent, occupied, self.maps))
+        flips = self._flips
         to_sq = move >> 6 & 63
-        if not parent_occ >> to_sq & 1:
-            to90, to_ne, to_nw = flips[to_sq]
-            flip90 ^= to90
-            flip_ne ^= to_ne
-            flip_nw ^= to_nw
-        return tuple.__new__(RotatedState, (occupied, occ90 ^ flip90, occ45_ne ^ flip_ne, occ45_nw ^ flip_nw))
+        if parent >> to_sq & 1:
+            return parent ^ flips[move & 63]
+        return parent ^ flips[move & 63] ^ flips[to_sq]
 
-    def context_from_state(self, state: RotatedState) -> RotatedState:
-        return state
+    def context_from_state(self, state: RotatedState) -> int:
+        return int(state)
 
-    def rook(self, context: RotatedState, square: Square) -> Bitboard:
+    def rook(self, context: int, square: Square) -> Bitboard:
         try:
             rank_shift, rank_table, file_shift, file_table = self._rook[square]
         except KeyError:
             raise off_board(square) from None
-        return rank_table[context.occ >> rank_shift & 63] | file_table[context.occ90 >> file_shift & 63]
+        return rank_table[context >> rank_shift & 63] | file_table[context >> file_shift & 63]
 
-    def bishop(self, context: RotatedState, square: Square) -> Bitboard:
+    def bishop(self, context: int, square: Square) -> Bitboard:
         try:
             ne_shift, ne_table, nw_shift, nw_table = self._bishop[square]
         except KeyError:
             raise off_board(square) from None
-        return ne_table[context.occ45_ne >> ne_shift & 63] | nw_table[context.occ45_nw >> nw_shift & 63]
+        return ne_table[context >> ne_shift & 63] | nw_table[context >> nw_shift & 63]
 
-    def queen(self, context: RotatedState, square: Square) -> Bitboard:
+    def queen(self, context: int, square: Square) -> Bitboard:
         try:
             rank_shift, rank_table, file_shift, file_table, ne_shift, ne_table, nw_shift, nw_table = self._queen[square]
         except KeyError:
             raise off_board(square) from None
-        occ, occ90, occ45_ne, occ45_nw = context
         return (
-            rank_table[occ >> rank_shift & 63]
-            | file_table[occ90 >> file_shift & 63]
-            | ne_table[occ45_ne >> ne_shift & 63]
-            | nw_table[occ45_nw >> nw_shift & 63]
+            rank_table[context >> rank_shift & 63]
+            | file_table[context >> file_shift & 63]
+            | ne_table[context >> ne_shift & 63]
+            | nw_table[context >> nw_shift & 63]
         )
 
 

@@ -29,28 +29,29 @@ line's table maps every bit past the end to no square.
 ``movegen.RotatedBackend`` resolves that composition once per square, as
 Crafty does (Hyatt, ICCA J. 22(4), 1999): a shift past the line's first
 square and a 64-entry table of board attacks indexed by the line's six
-inner bits, since a line's end squares never block anything.  Its query is
-then one shift, one mask and one index per line.
+inner bits, since a line's end squares never block anything.  The shift
+also holds the offset of the line's board inside a ``RotatedState``, so its
+query is one shift, one mask and one index per line on a plain int.
 
-Keeping the rotated boards up is the design's price.  From scratch,
-``make_rotated_state`` rotates a board a byte at a time: the maps hold
-eight 256-entry tables, one per byte of the main board, whose entries pack
-that byte's squares in all three rotated boards side by side
-(``r90 | ne << 64 | nw << 128``), so eight lookups ORed together and split
-apart give the three boards.  ``rotate_occupancy``, one bit at a time, is
-the reference it is tested against.  In the search, a child's boards come
-from its parent's and the move, as in Crafty's MakeMove: the backend's
-``prepare`` flips the from-square's bits (``RotationMaps.flips``) and the
-to-square's unless that was a capture.  ``derive_rotated_state`` flips
-every square that differs and serves the moves that touch more squares,
-castling and en-passant captures.
+Keeping the rotated boards up is the design's price, and the four boards
+live side by side in one int to keep it small: a ``RotatedState`` is
+``occ | occ90 << 64 | occ45_ne << 128 | occ45_nw << 192``.  A square's bit
+in all four boards is then one int, ``RotationMaps.flips[sq]``, and
+flipping a square is one XOR.  From scratch, ``make_rotated_state`` rotates
+a board a byte at a time: the maps hold eight 256-entry tables, one per
+byte of the main board, whose entries OR together that byte's squares'
+flips, so eight lookups ORed together give the state.
+``rotate_occupancy``, one bit at a time, is the reference it is tested
+against.  In the search, a child's boards come from its parent's and the
+move, as in Crafty's MakeMove: the backend's ``prepare`` XORs in the
+from-square's flip and the to-square's unless that was a capture.
+``derive_rotated_state`` flips every square that differs and serves the
+moves that touch more squares, castling and en-passant captures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
-
 from .bitboard import FULL_BOARD, Bitboard, Square, off_board
 from .tables import FILE_LINES, NE_DIAGONALS, NW_DIAGONALS, RANK_LINES, LineAttackArrays, line_to_board
 from .tables import build_line_attack_bytes as build_line_attack_bytes  # the baseline's byte array
@@ -76,8 +77,8 @@ class RotationMaps:
     file_line: LineLayout
     ne_line: LineLayout
     nw_line: LineLayout
-    flips: tuple[tuple[Bitboard, Bitboard, Bitboard], ...]  # square -> its bit in each rotated board
-    # Byte k of the main board -> its squares' bits, packed r90 | ne << 64 | nw << 128.
+    flips: tuple[int, ...]  # square -> its bit in all four boards of a RotatedState
+    # Byte k of the main board -> the OR of its squares' flips.
     byte_rotations: tuple[tuple[int, ...], ...]
 
 
@@ -108,9 +109,8 @@ def build_rotation_maps() -> RotationMaps:
     r90, file_line = _line_layout(FILE_LINES[::-1])
     r45_ne, ne_line = _line_layout(NE_DIAGONALS)
     r45_nw, nw_line = _line_layout(NW_DIAGONALS)
-    flips = tuple((1 << r90[sq], 1 << r45_ne[sq], 1 << r45_nw[sq]) for sq in range(64))
-    packed = tuple(bit90 | bit_ne << 64 | bit_nw << 128 for bit90, bit_ne, bit_nw in flips)
-    byte_rotations = tuple(line_to_board(packed[8 * k : 8 * k + 8]) for k in range(8))
+    flips = tuple(1 << sq | 1 << 64 + r90[sq] | 1 << 128 + r45_ne[sq] | 1 << 192 + r45_nw[sq] for sq in range(64))
+    byte_rotations = tuple(line_to_board(flips[8 * k : 8 * k + 8]) for k in range(8))
     return RotationMaps(r90, r45_ne, r45_nw, rank_line, file_line, ne_line, nw_line, flips, byte_rotations)
 
 
@@ -128,27 +128,43 @@ def rotate_occupancy(occ: Bitboard, mapping: tuple[int, ...]) -> Bitboard:
     return out
 
 
-class RotatedState(NamedTuple):
-    """Main occupancy plus its three rotated copies; an immutable value.
+class RotatedState(int):
+    """Main occupancy plus its three rotated copies, packed into one int.
 
-    A tuple rather than a frozen dataclass: the search builds one per move,
-    and a tuple is several times cheaper to build.
+    The value is ``occ | occ90 << 64 | occ45_ne << 128 | occ45_nw << 192``,
+    so one XOR flips a square in all four boards; the properties read the
+    boards back.
     """
 
-    occ: Bitboard
-    occ90: Bitboard
-    occ45_ne: Bitboard
-    occ45_nw: Bitboard
+    __slots__ = ()
+
+    @property
+    def occ(self) -> Bitboard:
+        return self & FULL_BOARD
+
+    @property
+    def occ90(self) -> Bitboard:
+        return self >> 64 & FULL_BOARD
+
+    @property
+    def occ45_ne(self) -> Bitboard:
+        return self >> 128 & FULL_BOARD
+
+    @property
+    def occ45_nw(self) -> Bitboard:
+        return self >> 192
+
+    def __repr__(self) -> str:
+        return (
+            f"RotatedState(occ={self.occ:#x}, occ90={self.occ90:#x}, "
+            f"occ45_ne={self.occ45_ne:#x}, occ45_nw={self.occ45_nw:#x})"
+        )
 
 
 def make_rotated_state(occ: Bitboard, maps: RotationMaps) -> RotatedState:
-    """Rotate *occ* from scratch: one table lookup per byte, all three boards at once.
-
-    Each byte's entry packs its squares' bits in the three rotated boards,
-    so the eight entries OR together into the three boards side by side.
-    """
+    """Rotate *occ* from scratch: one table lookup per byte, all four boards at once."""
     t0, t1, t2, t3, t4, t5, t6, t7 = maps.byte_rotations
-    packed = (
+    return RotatedState(
         t0[occ & 255]
         | t1[occ >> 8 & 255]
         | t2[occ >> 16 & 255]
@@ -158,33 +174,31 @@ def make_rotated_state(occ: Bitboard, maps: RotationMaps) -> RotatedState:
         | t6[occ >> 48 & 255]
         | t7[occ >> 56]
     )
-    return RotatedState(occ, packed & FULL_BOARD, packed >> 64 & FULL_BOARD, packed >> 128)
 
 
-def derive_rotated_state(parent: RotatedState, occ: Bitboard, maps: RotationMaps) -> RotatedState:
+def derive_rotated_state(parent: int, occ: Bitboard, maps: RotationMaps) -> RotatedState:
     """State for *occ*, built from *parent* by flipping only the squares that differ.
 
-    Each remapping is a bit permutation, so rotation distributes over XOR:
-    rotating the difference and XORing it in equals rotating *occ* afresh.
-    The search's upkeep reads the squares from the move instead, and comes
-    here only for castling and en-passant captures, which touch three or four.
+    *parent* is a ``RotatedState`` or its plain int value.  Each remapping is
+    a bit permutation, so rotation distributes over XOR: rotating the
+    difference and XORing it in equals rotating *occ* afresh.  The search's
+    upkeep reads the squares from the move instead, and comes here only for
+    castling and en-passant captures, which touch three or four.
     """
-    delta = occ ^ parent.occ
+    delta = occ ^ (parent & FULL_BOARD)
     flips = maps.flips
-    flip90 = flip_ne = flip_nw = 0
     while delta:
         low = delta & -delta
-        bit90, bit_ne, bit_nw = flips[low.bit_length() - 1]
-        flip90 |= bit90
-        flip_ne |= bit_ne
-        flip_nw |= bit_nw
+        parent ^= flips[low.bit_length() - 1]
         delta ^= low
-    return RotatedState(occ, parent.occ90 ^ flip90, parent.occ45_ne ^ flip_ne, parent.occ45_nw ^ flip_nw)
+    return RotatedState(parent)
 
 
 def toggle_square(state: RotatedState, maps: RotationMaps, square: Square) -> RotatedState:
-    """Flip one square in the main board and all three rotated boards."""
-    return derive_rotated_state(state, state.occ ^ (1 << square), maps)
+    """Flip one square in the main board and all three rotated boards; off-board squares raise ValueError."""
+    if not 0 <= square < 64:
+        raise off_board(square)
+    return RotatedState(state ^ maps.flips[square])
 
 
 def rook_attacks_rotated(

@@ -98,6 +98,8 @@ def load_tables(source: BinaryIO | str | Path) -> AttackTables:
     view = memoryview(data)
     offset = 12
     loaded: dict[str, AttackTable] = {}
+    # Equal keys and values share one int object, as in built tables.
+    shared = {}.setdefault
     for field in _TABLE_FIELDS:
         _require(data, offset + 8)
         (count,) = struct.unpack_from("<Q", data, offset)
@@ -105,7 +107,7 @@ def load_tables(source: BinaryIO | str | Path) -> AttackTables:
         _require(data, offset)
         table: AttackTable = {}
         for piece_key, occ_key, value in struct.iter_unpack("<QQQ", view[start:offset]):
-            table.setdefault(piece_key, {})[occ_key] = value
+            table.setdefault(piece_key, {})[shared(occ_key, occ_key)] = shared(value, value)
         loaded[field] = table
 
     _require(data, offset + 4 * 512)

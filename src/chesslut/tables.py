@@ -151,23 +151,25 @@ def build_line_attack_bytes() -> LineAttackArrays:
 
     For each of the 8 first-rank squares and each of the 256 occupancy bytes,
     the attack set extends square by square in both directions, stopping
-    after the first occupied square in each.  The rank table shifts these
-    rows up the board; the rotated baseline indexes them as they are.
+    after the first occupied square in each.  Each entry is computed at once:
+    upward it runs to the lowest blocker above the mover (``x & -x``), or to
+    the end; downward to the highest blocker below it (``bit_length``), or
+    to bit 0.  The rank table shifts these rows up the board; the rotated
+    baseline indexes them as they are.
     """
     table = []
     for pos in range(8):
+        bit = 1 << pos
+        above_mask = 256 - (bit << 1)
+        below_mask = bit - 1
         row = []
         for occ in range(256):
-            attacks = 0
-            for ahead in range(pos + 1, 8):
-                attacks |= 1 << ahead
-                if occ & (1 << ahead):
-                    break
-            for behind in range(pos - 1, -1, -1):
-                attacks |= 1 << behind
-                if occ & (1 << behind):
-                    break
-            row.append(attacks)
+            above = occ & above_mask
+            below = occ & below_mask
+            # One past the last attacked square upward, and the last one downward.
+            up_end = (above & -above) << 1 or 256
+            down_end = 1 << below.bit_length() >> 1 or 1
+            row.append(up_end - (bit << 1) | bit - down_end)
         table.append(tuple(row))
     return tuple(table)
 
@@ -181,9 +183,13 @@ def build_rank_attacks() -> AttackTable:
     bytes are built once, so its 8 inner dicts share their key and value
     int objects.
     """
+    return _rank_attacks(build_line_attack_bytes())
+
+
+def _rank_attacks(walk: LineAttackArrays) -> AttackTable:
     boards = [tuple(b << 8 * r for b in range(256)) for r in range(8)]
     table: AttackTable = {}
-    for i, row in enumerate(build_line_attack_bytes()):
+    for i, row in enumerate(walk):
         for r, board in enumerate(boards):
             table[1 << (i + 8 * r)] = {board[occ]: board[attacks] for occ, attacks in enumerate(row)}
     return table
@@ -241,6 +247,10 @@ def build_attack_table(square_lists: tuple[tuple[Bitboard, ...], ...]) -> Attack
     bits past a short line's end map to no square.  The table carries a
     base entry [0][0] = 0.
     """
+    return _attack_table(square_lists, build_line_attack_bytes())
+
+
+def _attack_table(square_lists: tuple[tuple[Bitboard, ...], ...], walk: LineAttackArrays) -> AttackTable:
     seen: set[Bitboard] = set()
     for squares in square_lists:
         for square_bb in squares:
@@ -248,7 +258,6 @@ def build_attack_table(square_lists: tuple[tuple[Bitboard, ...], ...]) -> Attack
                 raise ValueError(f"duplicate square bitboard {square_bb:#x} across lists")
             seen.add(square_bb)
 
-    walk = build_line_attack_bytes()
     table: AttackTable = {0: {0: 0}}
     for squares in square_lists:
         board = line_to_board(squares)
@@ -284,13 +293,14 @@ class AttackTables:
 
 
 def build_attack_tables() -> AttackTables:
-    """Build all four tables and the masks (startup cost only; see store)."""
-    rank_attacks = build_rank_attacks()
+    """Build all four tables and the masks from one first-rank walk (startup cost only; see store)."""
+    walk = build_line_attack_bytes()
+    rank_attacks = _rank_attacks(walk)
     return AttackTables(
         rank_attacks=rank_attacks,
         file_attacks=build_file_attacks(rank_attacks),
-        diag_attacks_ne=build_attack_table(NE_DIAGONALS),
-        diag_attacks_nw=build_attack_table(NW_DIAGONALS),
+        diag_attacks_ne=_attack_table(NE_DIAGONALS, walk),
+        diag_attacks_nw=_attack_table(NW_DIAGONALS, walk),
         masks=build_masks(),
     )
 

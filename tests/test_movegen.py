@@ -489,6 +489,34 @@ def test_upkeep_playouts_reach_every_move_kind(rotated_backend):
     }
 
 
+def test_rotated_upkeep_is_a_plain_int_equal_to_the_scratch_state(rotation, rotated_backend):
+    """Every child of Kiwipete and CPW position 4 down to depth 2: the context
+    the upkeep derives from the parent's is a plain int, the value of the
+    state rotated from scratch."""
+    maps, _ = rotation
+    backend = rotated_backend
+    kinds = Counter()
+    for fen in (KIWIPETE, POS4):
+        root = parse_fen(fen)
+        for parent in [root] + [make_move(root, move) for move in generate_legal(root, backend)]:
+            parent_occ = parent.occupied()
+            parent_context = backend.prepare(parent_occ)
+            assert type(parent_context) is int
+            for move in generate_legal(parent, backend):
+                child_occ = make_move(parent, move).occupied()
+                context = backend.prepare(child_occ, parent_context, move)
+                assert type(context) is int, move.uci()
+                assert context == make_rotated_state(child_occ, maps), move.uci()
+                kinds[move.kind, bool(parent_occ >> move.to_square & 1)] += 1
+    assert {
+        (QUIET, False),
+        (CAPTURE, True),
+        (PROMOTION, True),
+        (CASTLE, False),
+        (EP_CAPTURE, False),
+    } <= set(kinds)
+
+
 # -- packed move encoding -----------------------------------------------------
 
 # sha256 of write_corpus(generate_corpus(200, seed=1)): the playouts pick moves by

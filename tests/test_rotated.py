@@ -11,6 +11,7 @@ from chesslut.bitboard import (
 )
 from chesslut.rays import bishop_rays, queen_rays, rook_rays
 from chesslut.rotated import (
+    RotatedState,
     bishop_attacks_rotated,
     build_line_attack_bytes,
     make_rotated_state,
@@ -103,6 +104,39 @@ def test_byte_table_rotation_matches_the_per_bit_reference(rotation):
         assert state.occ90 == rotate_occupancy(occ, maps.r90), hex(occ)
         assert state.occ45_ne == rotate_occupancy(occ, maps.r45_ne), hex(occ)
         assert state.occ45_nw == rotate_occupancy(occ, maps.r45_nw), hex(occ)
+
+
+def test_each_flip_holds_the_square_in_all_four_boards(rotation):
+    maps, _ = rotation
+    for sq in range(64):
+        flip = maps.flips[sq]
+        assert popcount(flip) == 4
+        assert flip == 1 << sq | 1 << 64 + maps.r90[sq] | 1 << 128 + maps.r45_ne[sq] | 1 << 192 + maps.r45_nw[sq]
+
+
+def test_state_is_one_int_with_the_four_boards_side_by_side(rotation):
+    maps, _ = rotation
+    occ = 0x1234_5678_9ABC_DEF0
+    state = make_rotated_state(occ, maps)
+    assert type(state) is RotatedState and isinstance(state, int)
+    assert state == state.occ | state.occ90 << 64 | state.occ45_ne << 128 | state.occ45_nw << 192
+    assert max(state.occ, state.occ90, state.occ45_ne, state.occ45_nw) <= FULL_BOARD
+
+
+def test_state_repr_names_the_four_boards(rotation):
+    maps, _ = rotation
+    c4 = bit_index(C4)
+    assert repr(make_rotated_state(C4, maps)) == (
+        f"RotatedState(occ={C4:#x}, occ90={1 << maps.r90[c4]:#x}, "
+        f"occ45_ne={1 << maps.r45_ne[c4]:#x}, occ45_nw={1 << maps.r45_nw[c4]:#x})"
+    )
+
+
+@pytest.mark.parametrize("square", [-1, 64])
+def test_toggle_off_board_square_raises_named_error(rotation, square):
+    maps, _ = rotation
+    with pytest.raises(ValueError, match=f"square {square} is off the board"):
+        toggle_square(make_rotated_state(0, maps), maps, square)
 
 
 def test_toggle_is_an_involution(rotation):

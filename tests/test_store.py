@@ -1,10 +1,12 @@
 import dataclasses
 import hashlib
 import io
+import tracemalloc
 
 import pytest
 
 from chesslut.store import MAGIC, TableLoadError, load_tables, save_tables
+from chesslut.tables import build_attack_tables
 
 
 # sha256 of save_tables(build_attack_tables()): pins the table contents and their key order.
@@ -161,3 +163,25 @@ def test_checksum_valid_but_wrong_mask_rejected(attack_tables):
     data = saved_bytes(dataclasses.replace(attack_tables, masks=masks))
     with pytest.raises(TableLoadError, match="bad structure in masks.file"):
         load_tables(io.BytesIO(data))
+
+
+def traced_memory_mb(build):
+    """(held after the call, peak during it) in MB, by tracemalloc, the result kept alive."""
+    tracemalloc.start()
+    try:
+        result = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return held / 2**20, peak / 2**20
+
+
+def test_loaded_tables_hold_no_more_memory_than_built_ones(attack_tables):
+    # Equal keys and values share one int object in built tables; a load must
+    # share them too, not hold a fresh int per decoded entry.
+    data = saved_bytes(attack_tables)
+    built_held, built_peak = traced_memory_mb(build_attack_tables)
+    loaded_held, loaded_peak = traced_memory_mb(lambda: load_tables(io.BytesIO(data)))
+    assert loaded_held <= 1.2 * built_held, (loaded_held, built_held)
+    assert loaded_peak <= 1.2 * built_peak, (loaded_peak, built_peak)

@@ -27,6 +27,7 @@ from chesslut.tables import (
     build_attack_table,
     build_file_attacks,
     build_file_attacks_generalized,
+    build_line_attack_bytes,
     build_masks,
     build_rank_attacks,
     build_rank_attacks_generalized,
@@ -150,6 +151,17 @@ def test_shift_covariance_all_first_rank_entries():
                 assert table[(1 << i) << (8 * k)][occ << (8 * k)] == base << (8 * k)
                 checks += 1
     assert checks == 8 * 256 * 7
+
+
+def test_line_attack_bytes_equal_a_ray_walk_on_the_first_rank():
+    # Bit k of an occupancy byte is square k of the first rank, so each of the
+    # 8 x 256 entries is the naive ray walk's first-rank attacks.
+    walk = build_line_attack_bytes()
+    assert len(walk) == 8
+    for pos in range(8):
+        assert len(walk[pos]) == 256
+        for occ in range(256):
+            assert walk[pos][occ] == rook_rays(occ, pos) & 0xFF, (pos, occ)
 
 
 # -- rank to file reflection ---------------------------------------------------
