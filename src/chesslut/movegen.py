@@ -21,11 +21,10 @@ backend pays the incremental upkeep of the classical design rather than a
 full rotation: as in Crafty's MakeMove, it flips the from-square and, for a
 non-capture, the to-square in its four boards, kept in one int so that a
 square's flip is one XOR.  A search root is rotated from scratch, a byte at
-a time.  The king-safety filter
-works from the parent: two slider queries from the king square tell
-whether the side to move is in check and which of its pieces may be
-pinned, and only the children of a parent in check, king moves, en-passant
-captures and moves of those pieces get the full test.
+a time.  The king-safety filter works from the parent: two slider queries
+from the king square tell whether the side to move is in check and which
+of its pieces may be pinned, and only the children of a parent in check,
+king moves, en-passant captures and moves of those pieces get the full test.
 Every other child is legal by the pinned-piece argument (see
 ``_legal_children``), though it is still made and its context still derived.
 """

@@ -52,6 +52,7 @@ moves that touch more squares, castling and en-passant captures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 from .bitboard import FULL_BOARD, Bitboard, Square, off_board
 from .tables import FILE_LINES, NE_DIAGONALS, NW_DIAGONALS, RANK_LINES, LineAttackArrays, line_to_board
 from .tables import build_line_attack_bytes as build_line_attack_bytes  # the baseline's byte array
