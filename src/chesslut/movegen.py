@@ -9,12 +9,14 @@ probes; the rotated one each line's shift and 64-entry attack table, so a
 query is a shift, a mask and an index per line.
 A move is an int: ``Move`` subclasses int, and its value packs the move as
 ``from | to << 6 | piece << 12 | kind << 15 | promotion << 18``.  The
-generator ORs each target onto its from-square's code, make_move decodes
-with shifts and masks, and the Move properties decode the same fields for
-callers.  Positions are immutable, so make_move returns a new Position
-and unmaking is just keeping the old value; it XORs the squares a move
-touches into the parent's colour boards, so no child derives its occupancy
-from its twelve piece boards.  The king-safety test reads the attacker's six
+generator looks quiet moves, captures and double pushes up by from-square
+and target bit in tables of Move objects, each made on its first use and
+shared for the life of the process; make_move decodes with shifts and
+masks, and the Move properties decode the same fields for callers.
+Positions are immutable, so make_move returns a new Position and unmaking
+is just keeping the old value; it XORs the squares a move touches into the
+parent's colour boards, so no child derives its occupancy from its twelve
+piece boards.  The king-safety test reads the attacker's six
 boards with one slice.  The search (perft, perft_divide, generate_legal)
 derives each child's context from its parent's and the move, so the rotated
 backend pays the incremental upkeep of the classical design rather than a
@@ -305,10 +307,11 @@ def is_square_attacked(
     return False
 
 
-# Each colour's rights, and each castle's rook move keyed by (colour, king to-square).
+# Each colour's castling rights.
 _CASTLING_RULES = tuple(tuple(right for right in CASTLING if right.color == color) for color in (WHITE, BLACK))
 
-_CASTLE_ROOK_MOVES = {(right.color, right.king_to): (right.rook_from, right.rook_to) for right in CASTLING}
+# Each castle's rook squares, keyed by the king's to-square (the four differ).
+_CASTLE_ROOK_SQUARES = {right.king_to: 1 << right.rook_from | 1 << right.rook_to for right in CASTLING}
 
 # Castling rights that survive a move touching each square: a right is lost
 # when its king's or its rook's from-square is touched.
@@ -317,12 +320,47 @@ _RIGHTS_MASK = tuple(
 )
 
 
-# Kind bits, and the promotions' kind and piece bits, that the generator ORs
-# onto a move's square and piece bits.
-_DOUBLE_PUSH_CODE = DOUBLE_PUSH << 15
-_CAPTURE_CODE = CAPTURE << 15
+# The kind bits of en-passant captures, and the promotions' kind and piece
+# bits, that the generator ORs onto a move's square bits.
 _EP_CAPTURE_CODE = EP_CAPTURE << 15
 _PROMOTION_CODES = tuple(PROMOTION << 15 | promo << 18 for promo in (QUEEN, ROOK, BISHOP, KNIGHT))
+
+
+# One int per square bit, shared by every table below as its keys.
+_SQUARE_BITS = tuple(1 << sq for sq in range(64))
+
+
+class _TargetMoves(dict):
+    """The moves of one from-square and base code, keyed by their target's bit.
+
+    A move is made on its first lookup and kept, so each distinct move is
+    one shared object for the life of the process; the code space bounds
+    their number.
+    """
+
+    __slots__ = ("base",)
+
+    def __init__(self, base: int) -> None:
+        self.base = base
+
+    def __missing__(self, low: Bitboard) -> Move:
+        to_sq = low.bit_length() - 1
+        move = self[_SQUARE_BITS[to_sq]] = Move(self.base | to_sq << 6)
+        return move
+
+
+def _target_moves(piece: int, kinds: tuple[int, ...]) -> tuple[tuple[_TargetMoves, ...], ...]:
+    return tuple(tuple(_TargetMoves(sq | piece << 12 | kind << 15) for kind in kinds) for sq in range(64))
+
+
+# Per from-square: (push, double push, capture) for pawns, (quiet, capture)
+# for the other pieces.
+_PAWN_MOVES = _target_moves(PAWN, (QUIET, DOUBLE_PUSH, CAPTURE))
+_KNIGHT_MOVES = _target_moves(KNIGHT, (QUIET, CAPTURE))
+_BISHOP_MOVES = _target_moves(BISHOP, (QUIET, CAPTURE))
+_ROOK_MOVES = _target_moves(ROOK, (QUIET, CAPTURE))
+_QUEEN_MOVES = _target_moves(QUEEN, (QUIET, CAPTURE))
+_KING_MOVES = _target_moves(KING, (QUIET, CAPTURE))
 
 
 def generate_pseudo_legal(
@@ -333,9 +371,10 @@ def generate_pseudo_legal(
     King safety is not checked here; see generate_legal and perft.  Castling
     is emitted only through empty, unattacked squares.  Order is fixed for a
     given position: pawns, knights, bishops, rooks, queens, king, castles,
-    each scanned from the low bit up.  Each from-square's base code
-    (``from | piece << 12``) is computed once; a move ORs its to-square and
-    kind onto it.
+    each scanned from the low bit up.  Quiet moves, captures and double
+    pushes are looked up by from-square and target bit in tables of shared
+    Move objects; promotions, en-passant captures and castles are encoded
+    as they are found.
     """
     us = position.side_to_move
     them = 1 - us
@@ -348,12 +387,12 @@ def generate_pseudo_legal(
     moves: list[Move] = []
     add = moves.append
 
-    def emit(base: int, targets: Bitboard) -> None:
-        capture = base | _CAPTURE_CODE
+    def emit(square_moves: tuple[_TargetMoves, _TargetMoves], targets: Bitboard) -> None:
+        quiet, capture = square_moves
         while targets:
             low = targets & -targets
             targets ^= low
-            add(Move((capture if enemy & low else base) | (low.bit_length() - 1) << 6))
+            add(capture[low] if enemy & low else quiet[low])
 
     push = 8 if us == WHITE else -8
     start_rank = 1 if us == WHITE else 6
@@ -365,15 +404,16 @@ def generate_pseudo_legal(
         low = pawns & -pawns
         sq = low.bit_length() - 1  # also the base code: PAWN is 0
         pawns ^= low
+        pushes, double_pushes, pawn_captures = _PAWN_MOVES[sq]
         target = sq + push
         if 0 <= target <= 63 and not occupied & (1 << target):
             if target >> 3 == promo_rank:
                 for promo in _PROMOTION_CODES:
                     add(Move(sq | target << 6 | promo))
             else:
-                add(Move(sq | target << 6))
+                add(pushes[1 << target])
                 if sq >> 3 == start_rank and not occupied & (1 << (target + push)):
-                    add(Move(sq | (target + push) << 6 | _DOUBLE_PUSH_CODE))
+                    add(double_pushes[1 << (target + push)])
         attacks = PAWN_ATTACKS[us][sq]
         captures = attacks & enemy
         while captures:
@@ -384,7 +424,7 @@ def generate_pseudo_legal(
                 for promo in _PROMOTION_CODES:
                     add(Move(sq | cap_sq << 6 | promo))
             else:
-                add(Move(sq | cap_sq << 6 | _CAPTURE_CODE))
+                add(pawn_captures[cap_low])
         if attacks & ep_bb:
             add(Move(sq | position.ep_square << 6 | _EP_CAPTURE_CODE))
 
@@ -392,23 +432,22 @@ def generate_pseudo_legal(
         low = knights & -knights
         sq = low.bit_length() - 1
         knights ^= low
-        emit(sq | KNIGHT << 12, KNIGHT_ATTACKS[sq] & ~own)
+        emit(_KNIGHT_MOVES[sq], KNIGHT_ATTACKS[sq] & ~own)
 
-    for piece, sliders, attack_fn in (
-        (BISHOP, bishops, backend.bishop),
-        (ROOK, rooks, backend.rook),
-        (QUEEN, queens, backend.queen),
+    for piece_moves, sliders, attack_fn in (
+        (_BISHOP_MOVES, bishops, backend.bishop),
+        (_ROOK_MOVES, rooks, backend.rook),
+        (_QUEEN_MOVES, queens, backend.queen),
     ):
-        piece_code = piece << 12
         while sliders:
             low = sliders & -sliders
             sq = low.bit_length() - 1
             sliders ^= low
-            emit(sq | piece_code, attack_fn(context, sq) & ~own)
+            emit(piece_moves[sq], attack_fn(context, sq) & ~own)
 
     if king:
         sq = king.bit_length() - 1
-        emit(sq | KING << 12, KING_ATTACKS[sq] & ~own)
+        emit(_KING_MOVES[sq], KING_ATTACKS[sq] & ~own)
         if position.castling:
             for right in _CASTLING_RULES[us]:
                 if not position.castling & right.flag or occupied & right.must_be_empty:
@@ -420,55 +459,60 @@ def generate_pseudo_legal(
     return moves
 
 
+# Bound once, so that make_move does not look it up on every call.
+_new_tuple = tuple.__new__
+
+
 def make_move(position: Position, move: int) -> Position:
     """Apply *move*, a Move or its int code; returns the successor Position (copy-make).
 
     Each colour's occupancy is updated with the squares the move touches,
-    not derived again from the twelve piece boards.
+    not derived again from the twelve piece boards.  A quiet move touches
+    nothing else.
     """
-    us = position.side_to_move
+    pieces, us, castling, _, (white, black) = position
     them = 1 - us
-    pieces = list(position.pieces)
+    pieces = list(pieces)
     from_sq = move & 63
     to_sq = move >> 6 & 63
-    kind = move >> 15 & 7
-    from_bb = 1 << from_sq
     to_bb = 1 << to_sq
-    own = position.occupancy[us] ^ (from_bb | to_bb)
-    enemy = position.occupancy[them]
-
-    if kind == EP_CAPTURE:
-        captured_bb = 1 << (to_sq - 8 if us == WHITE else to_sq + 8)
-        pieces[them * 6 + PAWN] ^= captured_bb
-        enemy ^= captured_bb
-    elif to_bb & enemy:
-        enemy ^= to_bb
-        for idx in range(them * 6, them * 6 + 6):
-            if pieces[idx] & to_bb:
-                pieces[idx] ^= to_bb
-                break
-
+    move_bb = 1 << from_sq | to_bb
     mover = us * 6 + (move >> 12 & 7)
-    pieces[mover] ^= from_bb | to_bb
-    if kind == PROMOTION:
-        pieces[mover] ^= to_bb
-        pieces[us * 6 + (move >> 18)] |= to_bb
-    elif kind == CASTLE:
-        rook_from, rook_to = _CASTLE_ROOK_MOVES[(us, to_sq)]
-        rook_bb = (1 << rook_from) | (1 << rook_to)
-        pieces[us * 6 + ROOK] ^= rook_bb
-        own ^= rook_bb
-
-    castling = position.castling
+    pieces[mover] ^= move_bb
     if castling:
         castling &= _RIGHTS_MASK[from_sq] & _RIGHTS_MASK[to_sq]
-
+    if us == WHITE:
+        own = white ^ move_bb
+        enemy = black
+    else:
+        own = black ^ move_bb
+        enemy = white
     ep = None
-    if kind == DOUBLE_PUSH:
-        ep = from_sq + 8 if us == WHITE else from_sq - 8
+
+    kind = move >> 15 & 7
+    if kind != QUIET:
+        if to_bb & enemy:  # a capture, promotion captures included
+            enemy ^= to_bb
+            victim = them * 6  # the enemy's boards, from its pawns up
+            while not pieces[victim] & to_bb:
+                victim += 1
+            pieces[victim] ^= to_bb
+        if kind == DOUBLE_PUSH:
+            ep = (from_sq + to_sq) >> 1
+        elif kind == EP_CAPTURE:
+            captured_bb = 1 << ((from_sq & 56) | (to_sq & 7))  # beside the mover, on the target's file
+            pieces[them * 6 + PAWN] ^= captured_bb
+            enemy ^= captured_bb
+        elif kind == PROMOTION:
+            pieces[mover] ^= to_bb
+            pieces[us * 6 + (move >> 18)] |= to_bb
+        elif kind == CASTLE:
+            rook_bb = _CASTLE_ROOK_SQUARES[to_sq]
+            pieces[us * 6 + ROOK] ^= rook_bb
+            own ^= rook_bb
 
     occupancy = (own, enemy) if us == WHITE else (enemy, own)
-    return tuple.__new__(Position, (tuple(pieces), them, castling, ep, occupancy))
+    return _new_tuple(Position, (tuple(pieces), them, castling, ep, occupancy))
 
 
 # Each square's rook and bishop lines on the empty board: an enemy slider can
@@ -537,7 +581,8 @@ def _legal_children(
     children = []
     for move in generate_pseudo_legal(position, backend, context):
         child = make_move(position, move)
-        child_context = prepare(child.occupied(), context, move)
+        white, black = child.occupancy
+        child_context = prepare(white | black, context, move)
         tested = suspects >> (move & 63) & 1 or move >> 15 & 7 == EP_CAPTURE
         if not (tested and in_check(child, us, backend, child_context)):
             children.append((move, child, child_context))

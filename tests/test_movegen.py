@@ -6,8 +6,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_engine import ref_legal_moves, ref_move_uci, ref_parse_fen, ref_perft
+from reference_engine import _pseudo_moves, ref_legal_moves, ref_make, ref_move_uci, ref_parse_fen, ref_perft
 
+from chesslut import movegen
 from chesslut.bitboard import FULL_BOARD, build_leaper_tables, popcount, square_index
 from chesslut.corpus import generate_corpus, write_corpus
 from chesslut.movegen import (
@@ -658,3 +659,79 @@ def test_legal_children_match_brute_force_on_hand_built_cases(
             assert legal == pseudo
         else:
             assert rejected in pseudo - legal
+
+
+# -- shared move objects ------------------------------------------------------
+
+
+def target_move_tables():
+    return [
+        moves
+        for piece_moves in (
+            movegen._PAWN_MOVES,
+            movegen._KNIGHT_MOVES,
+            movegen._BISHOP_MOVES,
+            movegen._ROOK_MOVES,
+            movegen._QUEEN_MOVES,
+            movegen._KING_MOVES,
+        )
+        for square_moves in piece_moves
+        for moves in square_moves
+    ]
+
+
+def test_generated_moves_are_shared_and_tabled_once(direct_backend, rotated_backend):
+    """Over the digest corpus, on both backends and twice each: every quiet
+    move, capture and double push is one Move object per code, and the
+    tables hold exactly the codes emitted, once each, under their target bit."""
+    corpus = [position for position, _ in generate_corpus(200, seed=1, backend=direct_backend)]
+    tables = target_move_tables()
+    for moves in tables:
+        moves.clear()
+    shared = {}
+    kinds = Counter()
+    for backend in (direct_backend, rotated_backend):
+        for _ in range(2):
+            for position in corpus:
+                for move in generate_pseudo_legal(position, backend):
+                    assert type(move) is Move, move
+                    kinds[move.kind] += 1
+                    if move.kind in (QUIET, CAPTURE, DOUBLE_PUSH):
+                        assert shared.setdefault(int(move), move) is move, move
+    assert {QUIET, CAPTURE, DOUBLE_PUSH} <= set(kinds)
+    tabled = []
+    for moves in tables:
+        for low, move in moves.items():
+            assert low is movegen._SQUARE_BITS[move.to_square], move
+            assert move.from_square | move.piece << 12 | move.kind << 15 == moves.base, move
+            assert shared[move] is move, move
+            tabled.append(int(move))
+    assert len(tabled) == len(set(tabled)) == len(shared)
+
+
+# -- make_move against the reference engine -----------------------------------
+
+
+def test_make_move_matches_reference_on_every_pseudo_legal_move(direct_backend):
+    """Every pseudo-legal move of the published roots and of their legal
+    children: the child's placement, castling rights, en-passant square and
+    side to move equal the reference engine's, and captures of each non-king
+    piece type occur for both colours."""
+    victims = Counter()
+    for position in published_roots_and_children(direct_backend):
+        fen = serialize_fen(position)
+        ref = ref_parse_fen(fen)
+        ref_moves = {ref_move_uci(move): move for move in _pseudo_moves(ref)}
+        moves = generate_pseudo_legal(position, direct_backend)
+        assert sorted(move.uci() for move in moves) == sorted(ref_moves), fen
+        for move in moves:
+            expected = ref_make(ref, ref_moves[move.uci()])
+            child = ref_parse_fen(serialize_fen(make_move(position, move)))
+            assert child.board == expected.board, (fen, move.uci())
+            assert sorted(child.castling) == sorted(expected.castling), (fen, move.uci())
+            assert child.ep == expected.ep, (fen, move.uci())
+            assert child.white_to_move == expected.white_to_move, (fen, move.uci())
+            victim = ref.board[move.to_square]
+            if victim != ".":
+                victims[victim] += 1
+    assert set("pnbrqPNBRQ") <= set(victims), victims
