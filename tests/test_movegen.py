@@ -712,13 +712,30 @@ def test_generated_moves_are_shared_and_tabled_once(direct_backend, rotated_back
 # -- make_move against the reference engine -----------------------------------
 
 
+def colour_mirrored_fen(fen):
+    """The same position with the board flipped top to bottom and the colours swapped."""
+    board, side, castling, ep, *counters = fen.split()
+    board = "/".join(reversed(board.split("/"))).swapcase()
+    side = "b" if side == "w" else "w"
+    castling = "".join(sorted(castling.swapcase(), key="KQkq-".index))
+    ep = ep if ep == "-" else ep[0] + str(9 - int(ep[1]))
+    return " ".join([board, side, castling, ep, *counters])
+
+
 def test_make_move_matches_reference_on_every_pseudo_legal_move(direct_backend):
-    """Every pseudo-legal move of the published roots and of their legal
-    children: the child's placement, castling rights, en-passant square and
-    side to move equal the reference engine's, and captures of each non-king
-    piece type occur for both colours."""
+    """Every pseudo-legal move of the published roots, of their colour
+    mirrors (so that each colour moves at a root and in the children) and of
+    their legal children: the child's placement, castling rights, en-passant
+    square and side to move equal the reference engine's, and captures of
+    each non-king piece type occur for both colours."""
+    roots = [parse_fen(fen) for fen in PUBLISHED + tuple(colour_mirrored_fen(fen) for fen in PUBLISHED)]
+    positions = [
+        position
+        for root in roots
+        for position in [root] + [make_move(root, move) for move in generate_legal(root, direct_backend)]
+    ]
     victims = Counter()
-    for position in published_roots_and_children(direct_backend):
+    for position in positions:
         fen = serialize_fen(position)
         ref = ref_parse_fen(fen)
         ref_moves = {ref_move_uci(move): move for move in _pseudo_moves(ref)}
@@ -731,7 +748,8 @@ def test_make_move_matches_reference_on_every_pseudo_legal_move(direct_backend):
             assert sorted(child.castling) == sorted(expected.castling), (fen, move.uci())
             assert child.ep == expected.ep, (fen, move.uci())
             assert child.white_to_move == expected.white_to_move, (fen, move.uci())
-            victim = ref.board[move.to_square]
+            victim = ref.board[move.to_square ^ 7]  # the reference numbers a1 as 0, h1 as 7
+            assert (victim != ".") == bool(position.occupied() >> move.to_square & 1), (fen, move.uci())
             if victim != ".":
                 victims[victim] += 1
     assert set("pnbrqPNBRQ") <= set(victims), victims
