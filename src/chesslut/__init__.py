@@ -5,8 +5,6 @@ from .bitboard import (
     Bitboard,
     Square,
     bit_index,
-    clear_lsb,
-    lsb,
     popcount,
     pretty,
     square_bb,
@@ -42,7 +40,6 @@ from .rotated import (
     RotationMaps,
     bishop_attacks_rotated,
     build_rotation_maps,
-    derive_rotated_state,
     make_rotated_state,
     queen_attacks_rotated,
     rook_attacks_rotated,

@@ -70,20 +70,6 @@ def popcount(bb: Bitboard) -> int:
     return bb.bit_count()
 
 
-def lsb(bb: Bitboard) -> Bitboard:
-    """Lowest set bit of *bb*, as a bitboard."""
-    if bb == 0:
-        raise ValueError("empty bitboard")
-    return bb & -bb
-
-
-def clear_lsb(bb: Bitboard) -> Bitboard:
-    """*bb* with its lowest set bit cleared."""
-    if bb == 0:
-        raise ValueError("empty bitboard")
-    return bb & (bb - 1)
-
-
 def bit_index(bb: Bitboard) -> Square:
     """Square index of a single-bit bitboard, e.g. 128 (a1) -> 7."""
     if bb == 0 or bb & (bb - 1):
@@ -110,12 +96,8 @@ _KNIGHT_STEPS = ((1, 2), (2, 1), (2, -1), (1, -2), (-1, -2), (-2, -1), (-2, 1), 
 _KING_STEPS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
 
 
-def build_leaper_tables() -> tuple[tuple[Bitboard, ...], tuple[Bitboard, ...]]:
-    """(knight, king) attack bitboards for all 64 squares."""
-    return _leaper_table(_KNIGHT_STEPS), _leaper_table(_KING_STEPS)
-
-
-KNIGHT_ATTACKS, KING_ATTACKS = build_leaper_tables()
+KNIGHT_ATTACKS = _leaper_table(_KNIGHT_STEPS)
+KING_ATTACKS = _leaper_table(_KING_STEPS)
 
 # Pawn capture patterns by colour, white first; the other colour's row gives the attackers.
 PAWN_ATTACKS = (

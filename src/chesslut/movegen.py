@@ -20,9 +20,9 @@ piece boards.  The king-safety test reads the attacker's six
 boards with one slice.  The search (perft, perft_divide, generate_legal)
 derives each child's context from its parent's and the move, so the rotated
 backend pays the incremental upkeep of the classical design rather than a
-full rotation: as in Crafty's MakeMove, it flips the from-square and, for a
-non-capture, the to-square in its four boards, kept in one int so that a
-square's flip is one XOR.  A search root is rotated from scratch, a byte at
+full rotation: as in Crafty's MakeMove, it flips each square the move
+empties or fills in its four boards, kept in one int so that a square's
+flip is one XOR.  A search root is rotated from scratch, a byte at
 a time.  The king-safety filter works from the parent: two slider queries
 from the king square tell whether the side to move is in check and which
 of its pieces may be pinned, and only the children of a parent in check,
@@ -54,7 +54,6 @@ from .rotated import (
     LineLayout,
     RotatedState,
     RotationMaps,
-    derive_rotated_state,
     make_rotated_state,
 )
 from .tables import AttackTables
@@ -106,7 +105,12 @@ class Move(int):
 
 
 def encode_move(from_square: Square, to_square: Square, piece: int, kind: int, promotion: int | None = None) -> Move:
-    """The Move with these fields; *promotion* is given only for kind PROMOTION."""
+    """The Move with these fields; *promotion* is given only for kind PROMOTION.
+
+    No field is checked against a position: ``make_move`` trusts the kind,
+    so only a move that ``generate_pseudo_legal`` or ``generate_legal``
+    also yields for that position may be made.
+    """
     return Move(from_square | to_square << 6 | piece << 12 | kind << 15 | (promotion or 0) << 18)
 
 
@@ -221,7 +225,12 @@ class RotatedBackend:
 
     def __init__(self, maps: RotationMaps, arrays: LineAttackArrays) -> None:
         self.maps = maps
-        self._flips = maps.flips
+        flips = self._flips = maps.flips
+        # Each castle's king and rook squares as one flip, keyed by the king's to-square.
+        self._castle_flips = {
+            right.king_to: flips[right.king_from] ^ flips[right.king_to] ^ flips[right.rook_from] ^ flips[right.rook_to]
+            for right in CASTLING
+        }
 
         def resolve(line: LineLayout, offset: int, sq: Square) -> tuple[int, tuple[Bitboard, ...]]:
             board = line.board[sq]
@@ -241,19 +250,22 @@ class RotatedBackend:
     def prepare(self, occupied: Bitboard, parent: int | None = None, move: int = 0) -> int:
         """Rotate *occupied* afresh, or update *parent* by the squares *move* touches.
 
-        As in Crafty's MakeMove, the from-square is flipped in all four
-        boards, and so is the to-square unless the parent has it occupied (a
-        capture, promotion captures included): one XOR per square.  Castling
-        and en-passant captures touch a third square and go through
-        ``derive_rotated_state``, which flips every square that differs.
+        As in Crafty's MakeMove, each square the move empties or fills is
+        flipped in all four boards, one XOR per square: the from-square, the
+        to-square unless the parent has it occupied (a capture, promotion
+        captures included), an en-passant victim, and a castle's king and
+        rook squares, pre-XORed into one flip.
         """
         if parent is None:
             return int(make_rotated_state(occupied, self.maps))
         kind = move >> 15 & 7
-        if kind == CASTLE or kind == EP_CAPTURE:
-            return int(derive_rotated_state(parent, occupied, self.maps))
         flips = self._flips
         to_sq = move >> 6 & 63
+        if kind == CASTLE:
+            return parent ^ self._castle_flips[to_sq]
+        if kind == EP_CAPTURE:
+            from_sq = move & 63
+            return parent ^ flips[from_sq] ^ flips[to_sq] ^ flips[(from_sq & 56) | (to_sq & 7)]
         if parent >> to_sq & 1:
             return parent ^ flips[move & 63]
         return parent ^ flips[move & 63] ^ flips[to_sq]
@@ -468,7 +480,9 @@ def make_move(position: Position, move: int) -> Position:
 
     Each colour's occupancy is updated with the squares the move touches,
     not derived again from the twelve piece boards.  A quiet move touches
-    nothing else.
+    nothing else.  *move* must come from ``generate_pseudo_legal`` or
+    ``generate_legal`` of *position*: the kind field is trusted, so a
+    hand-encoded QUIET move onto an enemy piece leaves two boards overlapping.
     """
     pieces, us, castling, _, (white, black) = position
     them = 1 - us

@@ -37,16 +37,12 @@ Keeping the rotated boards up is the design's price, and the four boards
 live side by side in one int to keep it small: a ``RotatedState`` is
 ``occ | occ90 << 64 | occ45_ne << 128 | occ45_nw << 192``.  A square's bit
 in all four boards is then one int, ``RotationMaps.flips[sq]``, and
-flipping a square is one XOR.  From scratch, ``make_rotated_state`` rotates
-a board a byte at a time: the maps hold eight 256-entry tables, one per
+flipping a square is one XOR.  ``make_rotated_state`` rotates a board from
+scratch a byte at a time: the maps hold eight 256-entry tables, one per
 byte of the main board, whose entries OR together that byte's squares'
-flips, so eight lookups ORed together give the state.
-``rotate_occupancy``, one bit at a time, is the reference it is tested
-against.  In the search, a child's boards come from its parent's and the
-move, as in Crafty's MakeMove: the backend's ``prepare`` XORs in the
-from-square's flip and the to-square's unless that was a capture.
-``derive_rotated_state`` flips every square that differs and serves the
-moves that touch more squares, castling and en-passant captures.
+flips.  ``rotate_occupancy``, one bit at a time, is the reference it is
+tested against.  In the search, the backend's ``prepare`` XORs in the
+flips of the squares a move touches, as in Crafty's MakeMove.
 """
 
 from __future__ import annotations
@@ -177,24 +173,6 @@ def make_rotated_state(occ: Bitboard, maps: RotationMaps) -> RotatedState:
     )
 
 
-def derive_rotated_state(parent: int, occ: Bitboard, maps: RotationMaps) -> RotatedState:
-    """State for *occ*, built from *parent* by flipping only the squares that differ.
-
-    *parent* is a ``RotatedState`` or its plain int value.  Each remapping is
-    a bit permutation, so rotation distributes over XOR: rotating the
-    difference and XORing it in equals rotating *occ* afresh.  The search's
-    upkeep reads the squares from the move instead, and comes here only for
-    castling and en-passant captures, which touch three or four.
-    """
-    delta = occ ^ (parent & FULL_BOARD)
-    flips = maps.flips
-    while delta:
-        low = delta & -delta
-        parent ^= flips[low.bit_length() - 1]
-        delta ^= low
-    return RotatedState(parent)
-
-
 def toggle_square(state: RotatedState, maps: RotationMaps, square: Square) -> RotatedState:
     """Flip one square in the main board and all three rotated boards; off-board squares raise ValueError."""
     if not 0 <= square < 64:
@@ -202,51 +180,33 @@ def toggle_square(state: RotatedState, maps: RotationMaps, square: Square) -> Ro
     return RotatedState(state ^ maps.flips[square])
 
 
+def _line_attacks(line: LineLayout, board: Bitboard, arrays: LineAttackArrays, square: Square) -> Bitboard:
+    """Attacks along *square*'s line: its byte of *board* shifted down, walked, mapped back to squares."""
+    if not 0 <= square < 64:
+        raise off_board(square)
+    return line.board[square][arrays[line.pos[square]][board >> line.shift[square] & 0xFF]]
+
+
 def rook_attacks_rotated(
     state: RotatedState, maps: RotationMaps, arrays: LineAttackArrays, square: Square
 ) -> Bitboard:
     """Rook attacks from *square*; a square outside 0..63 raises ValueError."""
-    rank = maps.rank_line
-    file = maps.file_line
-    try:
-        # Tuples wrap negative indices, so a negative square must fail on its own.
-        if square < 0:
-            raise IndexError(square)
-        attacks = rank.board[square][arrays[rank.pos[square]][(state.occ >> rank.shift[square]) & 0xFF]]
-        return attacks | file.board[square][arrays[file.pos[square]][(state.occ90 >> file.shift[square]) & 0xFF]]
-    except IndexError:
-        raise off_board(square) from None
+    return _line_attacks(maps.rank_line, state.occ, arrays, square) | _line_attacks(
+        maps.file_line, state.occ90, arrays, square
+    )
 
 
 def bishop_attacks_rotated(
     state: RotatedState, maps: RotationMaps, arrays: LineAttackArrays, square: Square
 ) -> Bitboard:
     """Bishop attacks from *square*; a square outside 0..63 raises ValueError."""
-    ne = maps.ne_line
-    nw = maps.nw_line
-    try:
-        if square < 0:
-            raise IndexError(square)
-        attacks = ne.board[square][arrays[ne.pos[square]][(state.occ45_ne >> ne.shift[square]) & 0xFF]]
-        return attacks | nw.board[square][arrays[nw.pos[square]][(state.occ45_nw >> nw.shift[square]) & 0xFF]]
-    except IndexError:
-        raise off_board(square) from None
+    return _line_attacks(maps.ne_line, state.occ45_ne, arrays, square) | _line_attacks(
+        maps.nw_line, state.occ45_nw, arrays, square
+    )
 
 
 def queen_attacks_rotated(
     state: RotatedState, maps: RotationMaps, arrays: LineAttackArrays, square: Square
 ) -> Bitboard:
-    """Queen attacks from *square*: all four lines in one frame; off-board squares raise ValueError."""
-    rank = maps.rank_line
-    file = maps.file_line
-    ne = maps.ne_line
-    nw = maps.nw_line
-    try:
-        if square < 0:
-            raise IndexError(square)
-        attacks = rank.board[square][arrays[rank.pos[square]][(state.occ >> rank.shift[square]) & 0xFF]]
-        attacks |= file.board[square][arrays[file.pos[square]][(state.occ90 >> file.shift[square]) & 0xFF]]
-        attacks |= ne.board[square][arrays[ne.pos[square]][(state.occ45_ne >> ne.shift[square]) & 0xFF]]
-        return attacks | nw.board[square][arrays[nw.pos[square]][(state.occ45_nw >> nw.shift[square]) & 0xFF]]
-    except IndexError:
-        raise off_board(square) from None
+    """Queen attacks from *square*; a square outside 0..63 raises ValueError."""
+    return rook_attacks_rotated(state, maps, arrays, square) | bishop_attacks_rotated(state, maps, arrays, square)

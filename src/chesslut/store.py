@@ -43,6 +43,7 @@ _TABLE_LINES = tuple(
 )
 _SPOT_CHECK_SEED = 0
 _SPOT_CHECK_QUERIES = 256
+_TRIPLES_PER_READ = 4096
 
 
 class TableLoadError(ValueError):
@@ -75,53 +76,56 @@ def save_tables(tables: AttackTables, sink: BinaryIO | str | Path) -> None:
     sink.write(struct.pack("<I", zlib.crc32(body)))
 
 
-def _require(data: bytes, end: int) -> None:
-    if len(data) < end:
-        raise TableLoadError(f"truncated stream at offset {len(data)}")
-
-
 def load_tables(source: BinaryIO | str | Path) -> AttackTables:
-    """Read tables produced by save_tables; bit-exact round trip."""
+    """Read tables produced by save_tables; bit-exact round trip.
+
+    The stream is read and decoded a block at a time, so its bytes are never
+    all held at once.  A read that returns fewer bytes than asked for is
+    taken as the end of the stream.
+    """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as handle:
             return load_tables(handle)
 
-    data = source.read()
-    _require(data, 8)
-    if data[:8] != MAGIC:
-        raise TableLoadError(f"version mismatch at offset 0: unrecognized magic {data[:8]!r}")
-    _require(data, 12)
-    (version,) = struct.unpack_from("<I", data, 8)
+    offset = crc = 0
+
+    def read(size: int) -> bytes:
+        nonlocal offset, crc
+        block = source.read(size)
+        if len(block) < size:
+            raise TableLoadError(f"truncated stream at offset {offset + len(block)}")
+        offset += size
+        crc = zlib.crc32(block, crc)
+        return block
+
+    magic = read(8)
+    if magic != MAGIC:
+        raise TableLoadError(f"version mismatch at offset 0: unrecognized magic {magic!r}")
+    (version,) = struct.unpack("<I", read(4))
     if version != VERSION:
         raise TableLoadError(f"version mismatch at offset 8: got {version}, expected {VERSION}")
 
-    view = memoryview(data)
-    offset = 12
     loaded: dict[str, AttackTable] = {}
     # Equal keys and values share one int object, as in built tables.
     shared = {}.setdefault
     for field in _TABLE_FIELDS:
-        _require(data, offset + 8)
-        (count,) = struct.unpack_from("<Q", data, offset)
-        start, offset = offset + 8, offset + 8 + 24 * count
-        _require(data, offset)
+        (count,) = struct.unpack("<Q", read(8))
         table: AttackTable = {}
-        for piece_key, occ_key, value in struct.iter_unpack("<QQQ", view[start:offset]):
-            table.setdefault(piece_key, {})[shared(occ_key, occ_key)] = shared(value, value)
+        while count:  # in chunks, so that a corrupt count reads to the end and no further
+            chunk = min(count, _TRIPLES_PER_READ)
+            count -= chunk
+            for piece_key, occ_key, value in struct.iter_unpack("<QQQ", read(24 * chunk)):
+                table.setdefault(piece_key, {})[shared(occ_key, occ_key)] = shared(value, value)
         loaded[field] = table
 
-    _require(data, offset + 4 * 512)
-    masks = MaskTables(
-        **{field: struct.unpack_from("<64Q", data, offset + 512 * k) for k, field in enumerate(_MASK_FIELDS)}
-    )
-    offset += 4 * 512
+    data = read(4 * 512)
+    masks = MaskTables(**{field: struct.unpack_from("<64Q", data, 512 * k) for k, field in enumerate(_MASK_FIELDS)})
 
-    _require(data, offset + 4)
-    (stored,) = struct.unpack_from("<I", data, offset)
-    computed = zlib.crc32(view[:offset])
+    computed, trailer = crc, offset
+    (stored,) = struct.unpack("<I", read(4))
     if stored != computed:
         raise TableLoadError(
-            f"checksum failure at offset {offset}: stored {stored:#010x}, computed {computed:#010x}"
+            f"checksum failure at offset {trailer}: stored {stored:#010x}, computed {computed:#010x}"
         )
 
     tables = AttackTables(masks=masks, **loaded)

@@ -1,6 +1,4 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from chesslut.bitboard import (
     A1,
@@ -9,9 +7,7 @@ from chesslut.bitboard import (
     H1,
     H8,
     bit_index,
-    clear_lsb,
     file_of,
-    lsb,
     make_square,
     popcount,
     pretty,
@@ -20,8 +16,6 @@ from chesslut.bitboard import (
     square_index,
     square_name,
 )
-
-nonzero_bitboards = st.integers(min_value=1, max_value=(1 << 64) - 1)
 
 
 def test_square_values_match_convention():
@@ -59,25 +53,6 @@ def test_file_rank_consistency():
     assert rank_of(square_index("a8")) == 7
 
 
-def test_lsb_examples():
-    assert lsb(0b1100) == 0b0100
-    assert lsb(1) == 1
-    assert lsb(1 << 63) == 1 << 63
-
-
-def test_clear_lsb_examples():
-    assert clear_lsb(0b1100) == 0b1000
-    assert clear_lsb(1) == 0
-    assert clear_lsb((1 << 56) | (1 << 63)) == 1 << 63
-
-
-def test_lsb_and_clear_lsb_reject_zero():
-    with pytest.raises(ValueError, match="empty bitboard"):
-        lsb(0)
-    with pytest.raises(ValueError, match="empty bitboard"):
-        clear_lsb(0)
-
-
 def test_bit_index_examples():
     assert bit_index(128) == 7  # a1
     assert bit_index(1) == 0  # h1
@@ -89,13 +64,6 @@ def test_bit_index_requires_single_bit():
         bit_index(0)
     with pytest.raises(ValueError):
         bit_index(0b11)
-
-
-@given(nonzero_bitboards)
-def test_lsb_clear_lsb_partition(bb):
-    assert clear_lsb(bb) | lsb(bb) == bb
-    assert clear_lsb(bb) & lsb(bb) == 0
-    assert popcount(clear_lsb(bb)) == popcount(bb) - 1
 
 
 def test_pretty_marks_squares():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from reference_engine import _pseudo_moves, ref_legal_moves, ref_make, ref_move_uci, ref_parse_fen, ref_perft
 
 from chesslut import movegen
-from chesslut.bitboard import FULL_BOARD, build_leaper_tables, popcount, square_index
+from chesslut.bitboard import FULL_BOARD, popcount, square_index
 from chesslut.corpus import generate_corpus, write_corpus
 from chesslut.movegen import (
     CAPTURE,
@@ -89,12 +89,6 @@ def test_king_e4_has_eight_neighbors():
 
 def test_knight_d4_has_eight_targets():
     assert popcount(KNIGHT_ATTACKS[square_index("d4")]) == 8
-
-
-def test_build_leaper_tables_matches_module_constants():
-    knight, king = build_leaper_tables()
-    assert knight == KNIGHT_ATTACKS
-    assert king == KING_ATTACKS
 
 
 # -- generation basics --------------------------------------------------------

@@ -98,6 +98,15 @@ def test_truncation_reports_the_stream_length(attack_tables, cut):
     assert str(excinfo.value) == f"truncated stream at offset {cut}"
 
 
+def test_corrupt_count_reads_to_the_end_of_the_stream(attack_tables):
+    # The rank table's count, all ones: the loader must read to the end and stop, not ask for 2^64 triples.
+    data = bytearray(saved_bytes(attack_tables))
+    data[12:20] = b"\xff" * 8
+    with pytest.raises(TableLoadError) as excinfo:
+        load_tables(io.BytesIO(bytes(data)))
+    assert str(excinfo.value) == f"truncated stream at offset {len(data)}"
+
+
 def test_flipped_table_byte_fails_checksum_at_the_trailer(attack_tables):
     data = bytearray(saved_bytes(attack_tables))
     data[_FIRST_BLOCK + 24 * 100 + 11] ^= 0x10
@@ -184,4 +193,13 @@ def test_loaded_tables_hold_no_more_memory_than_built_ones(attack_tables):
     built_held, built_peak = traced_memory_mb(build_attack_tables)
     loaded_held, loaded_peak = traced_memory_mb(lambda: load_tables(io.BytesIO(data)))
     assert loaded_held <= 1.2 * built_held, (loaded_held, built_held)
+    assert loaded_peak <= 1.2 * built_peak, (loaded_peak, built_peak)
+
+
+def test_tables_loaded_from_a_path_peak_no_higher_than_built_ones(attack_tables, tmp_path):
+    # A load from a path decodes the file a block at a time, never holding all its bytes.
+    target = tmp_path / "tables.bin"
+    save_tables(attack_tables, target)
+    _, built_peak = traced_memory_mb(build_attack_tables)
+    _, loaded_peak = traced_memory_mb(lambda: load_tables(target))
     assert loaded_peak <= 1.2 * built_peak, (loaded_peak, built_peak)
