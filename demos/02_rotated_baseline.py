@@ -32,11 +32,12 @@ for label, board in (
 ):
     print(f"\n{label}: {board:#018x}")
 
-print("\nThe composed lookup: shift + mask out the a-file's byte, index the")
+print("\nThe composed lookup: shift + mask out the a-file's byte from the packed")
+print("state (the shift includes the 90 degree board's offset, 64), index the")
 print("first-rank walk with a1's position in the file, map the attack byte back:")
 a1 = square_index("a1")
 file = maps.file_line
-file_byte = (state.occ90 >> file.shift[a1]) & 0xFF
+file_byte = (state >> file.shift[a1]) & 0xFF
 composed = file.board[a1][arrays[file.pos[a1]][file_byte]]
 print(f"  a-file occupancy byte from the rotated board: {file_byte:#04x}")
 
@@ -45,7 +46,7 @@ print("the backend is built.  A line's end squares cannot block anything, so a1"
 print("gets a 64-entry table indexed by the file's six inner bits, and a query is")
 print("one shift, one mask and one index:")
 table = tuple(file.board[a1][arrays[file.pos[a1]][inner << 1]] for inner in range(64))
-inner_bits = (state.occ90 >> (file.shift[a1] + 1)) & 63
+inner_bits = (state >> (file.shift[a1] + 1)) & 63
 resolved = table[inner_bits]
 print(f"  a-file inner bits: {inner_bits:#04x}")
 print(f"  composed {composed:#018x}, resolved {resolved:#018x}: {'same' if composed == resolved else 'MISMATCH'}")

@@ -13,9 +13,8 @@ import io
 import platform
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
-from typing import TextIO
 
 from .movegen import AttackBackend, DirectBackend, RotatedBackend, generate_pseudo_legal
 from .position import FenError, Position, parse_epd_line
@@ -70,15 +69,12 @@ class BenchReport:
         return rotated.total_seconds / direct.total_seconds
 
 
-def load_corpus(
-    path: str | Path, strict: bool = False, err: TextIO | None = None
-) -> list[tuple[Position, str | None]]:
+def load_corpus(path: str | Path, strict: bool = False) -> list[tuple[Position, str | None]]:
     """Read an EPD or FEN file, one record per line, in file order.
 
     Malformed lines are skipped with a warning naming the line number, or
     raise when *strict* is set.  Blank and ``#`` comment lines are ignored.
     """
-    err = err if err is not None else sys.stderr
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
@@ -91,7 +87,7 @@ def load_corpus(
         except FenError as exc:
             if strict:
                 raise CorpusError(f"line {lineno}: {exc}") from exc
-            print(f"warning: skipping line {lineno}: {exc}", file=err)
+            print(f"warning: skipping line {lineno}: {exc}", file=sys.stderr)
             continue
         if parsed is not None:
             entries.append(parsed)
@@ -176,16 +172,9 @@ def run_bench(config: BenchConfig, tables: AttackTables | None = None) -> BenchR
     return BenchReport(describe_environment(), len(corpus), config.repetitions, tuple(timings))
 
 
-_CSV_HEADER = [
-    "environment",
-    "corpus_size",
-    "repetitions",
-    "backend",
-    "total_seconds",
-    "mean_pass_seconds",
-    "mean_position_seconds",
-    "moves_per_pass",
-]
+_CSV_HEADER = ["environment", "corpus_size", "repetitions", *(field.name for field in fields(BackendTiming))]
+# One per BackendTiming field, turning its CSV text back into the value.
+_CSV_CONVERTERS = (str, float, float, float, int)
 
 
 def _emit_text(report: BenchReport) -> str:
@@ -211,18 +200,7 @@ def _emit_csv(report: BenchReport) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(_CSV_HEADER)
     for t in report.timings:
-        writer.writerow(
-            [
-                report.environment,
-                report.corpus_size,
-                report.repetitions,
-                t.backend,
-                repr(t.total_seconds),
-                repr(t.mean_pass_seconds),
-                repr(t.mean_position_seconds),
-                t.moves_per_pass,
-            ]
-        )
+        writer.writerow([report.environment, report.corpus_size, report.repetitions, *astuple(t)])
     return buffer.getvalue()
 
 
@@ -266,17 +244,9 @@ def parse_csv_report(text: str) -> BenchReport:
         raise ValueError("unrecognized report header")
     if len(rows) < 2:
         raise ValueError("report has no data rows")
-    environment = rows[1][0]
-    corpus_size = int(rows[1][1])
-    repetitions = int(rows[1][2])
+    environment, corpus_size, repetitions = rows[1][:3]
     timings = tuple(
-        BackendTiming(
-            backend=row[3],
-            total_seconds=float(row[4]),
-            mean_pass_seconds=float(row[5]),
-            mean_position_seconds=float(row[6]),
-            moves_per_pass=int(row[7]),
-        )
+        BackendTiming(*(convert(value) for convert, value in zip(_CSV_CONVERTERS, row[3:], strict=True)))
         for row in rows[1:]
     )
-    return BenchReport(environment, corpus_size, repetitions, timings)
+    return BenchReport(environment, int(corpus_size), int(repetitions), timings)

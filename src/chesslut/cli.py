@@ -60,9 +60,11 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_perft(args: argparse.Namespace) -> int:
-    min_depth = 1 if args.divide else 0
-    if args.depth < min_depth:
-        print(f"error: depth must be >= {min_depth}", file=sys.stderr)
+    if args.depth < 0 and not args.divide:  # perft_divide names its own limit
+        print("error: depth must be >= 0", file=sys.stderr)
+        return 1
+    if args.tables and args.backend == "rotated":
+        print("error: --tables serves only the direct backend, not --backend rotated", file=sys.stderr)
         return 1
     position = parse_fen(args.fen)
     if args.backend == "rotated":
@@ -158,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_perft.add_argument("--fen", default=STARTING_FEN)
     p_perft.add_argument("--depth", type=int, required=True)
     p_perft.add_argument("--backend", choices=("direct", "rotated"), default="direct")
-    p_perft.add_argument("--tables", default=None, help="load saved tables instead of building")
+    p_perft.add_argument("--tables", default=None, help="load saved tables instead of building (direct backend only)")
     p_perft.add_argument("--divide", action="store_true", help="print each root move's count, then the total")
     p_perft.set_defaults(func=cmd_perft)
 

@@ -209,9 +209,10 @@ class RotatedBackend:
 
     A context is the int value of a ``RotatedState``: the main board and its
     three rotated copies side by side, 64 bits each.  Each square is
-    resolved here, once per line family: the line's shift past its first
-    square, plus its board's offset in the context (0, 64, 128 or 192), and
-    a 64-entry table indexed by the line's six inner bits, the only ones
+    resolved here, once per line family: the shift past the line's first
+    square, its ``LineLayout`` shift plus one (a layout's shift already
+    holds its board's offset in the context: 0, 64, 128 or 192), and a
+    64-entry table indexed by the line's six inner bits, the only ones
     that can block (a line's end squares are attacked whether occupied or
     not).  Bits read past a line's end, of the next line or the next board,
     only cut off attacks past that end.  An entry is the line's first-rank
@@ -232,17 +233,17 @@ class RotatedBackend:
             for right in CASTLING
         }
 
-        def resolve(line: LineLayout, offset: int, sq: Square) -> tuple[int, tuple[Bitboard, ...]]:
+        def resolve(line: LineLayout, sq: Square) -> tuple[int, tuple[Bitboard, ...]]:
             board = line.board[sq]
             walk = arrays[line.pos[sq]]
-            return offset + line.shift[sq] + 1, tuple([board[attack] for attack in walk[:128:2]])
+            return line.shift[sq] + 1, tuple([board[attack] for attack in walk[:128:2]])
 
         self._rook: dict[Square, tuple] = {}
         self._bishop: dict[Square, tuple] = {}
         self._queen: dict[Square, tuple] = {}
         for sq in range(64):
-            rook = resolve(maps.rank_line, 0, sq) + resolve(maps.file_line, 64, sq)
-            bishop = resolve(maps.ne_line, 128, sq) + resolve(maps.nw_line, 192, sq)
+            rook = resolve(maps.rank_line, sq) + resolve(maps.file_line, sq)
+            bishop = resolve(maps.ne_line, sq) + resolve(maps.nw_line, sq)
             self._rook[sq] = rook
             self._bishop[sq] = bishop
             self._queen[sq] = rook + bishop
@@ -610,9 +611,7 @@ def generate_legal(position: Position, backend: AttackBackend) -> list[Move]:
 
 
 def perft(position: Position, depth: int, backend: AttackBackend) -> int:
-    """Leaf count of the legal move tree at *depth*."""
-    if depth <= 0:
-        return 1
+    """Leaf count of the legal move tree at *depth*; 1 below depth 1."""
     return _perft(position, depth, backend, backend.prepare(position.occupied()))
 
 
@@ -624,12 +623,12 @@ def perft_divide(position: Position, depth: int, backend: AttackBackend) -> list
     if depth < 1:
         raise ValueError(f"perft divide needs depth >= 1, got {depth}")
     children = _legal_children(position, backend, backend.prepare(position.occupied()))
-    if depth == 1:
-        return [(move, 1) for move, _, _ in children]
     return [(move, _perft(child, depth - 1, backend, child_context)) for move, child, child_context in children]
 
 
 def _perft(position: Position, depth: int, backend: AttackBackend, context: Any) -> int:
+    if depth < 1:
+        return 1
     children = _legal_children(position, backend, context)
     if depth == 1:
         return len(children)

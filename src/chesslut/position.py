@@ -131,10 +131,10 @@ def _parse_board_field(field: str) -> list[Bitboard]:
         rank_index = 7 - row  # FEN lists rank 8 first
         file_index = 0
         for ch in rank_text:
-            if ch.isdigit():
-                if ch == "0" or ch == "9":
-                    raise FenError(f"bad skip count {ch!r} in rank {rank_index + 1} (field 1)")
+            if ch in "12345678":
                 file_index += int(ch)
+            elif ch.isdigit():
+                raise FenError(f"bad skip count {ch!r} in rank {rank_index + 1} (field 1)")
             else:
                 piece = PIECE_CHARS.find(ch.upper())
                 if piece < 0:
@@ -158,7 +158,7 @@ def _parse_board_field(field: str) -> list[Bitboard]:
     return boards
 
 
-def _check_ep_square(ep: Square, side: int, boards: list[Bitboard]) -> None:
+def _check_ep_square(ep: Square, side: int, boards: list[Bitboard], occupied: Bitboard) -> None:
     """The pawn that just double-pushed past *ep* must stand in front of it, its path empty."""
     step = 8 if side == WHITE else -8  # the side to move's pawn direction
     pawn_sq, origin = ep - step, ep + step
@@ -167,9 +167,6 @@ def _check_ep_square(ep: Square, side: int, boards: list[Bitboard]) -> None:
             f"en-passant square {square_name(ep)} but no pawn on {square_name(pawn_sq)} "
             "that could have just double-pushed (field 4)"
         )
-    occupied = 0
-    for board in boards:
-        occupied |= board
     blocked = occupied & ((1 << ep) | (1 << origin))
     if blocked:
         raise FenError(
@@ -178,15 +175,12 @@ def _check_ep_square(ep: Square, side: int, boards: list[Bitboard]) -> None:
         )
 
 
-def _check_waiting_king(side: int, boards: list[Bitboard]) -> None:
+def _check_waiting_king(side: int, boards: list[Bitboard], occupied: Bitboard) -> None:
     """The side not to move has just moved, so its king cannot be in check."""
     king = boards[(1 - side) * 6 + KING]
     if not king:
         return
     square = king.bit_length() - 1
-    occupied = 0
-    for board in boards:
-        occupied |= board
     movers = boards[side * 6 : side * 6 + 6]
     checkers = (
         rook_rays(occupied, square) & (movers[ROOK] | movers[QUEEN])
@@ -232,6 +226,9 @@ def parse_fen(text: str) -> Position:
         raise FenError(f"expected at least 4 fields, got {len(fields)}")
 
     boards = _parse_board_field(fields[0])
+    occupied = 0
+    for board in boards:
+        occupied |= board
 
     if fields[1] == "w":
         side = WHITE
@@ -239,7 +236,7 @@ def parse_fen(text: str) -> Position:
         side = BLACK
     else:
         raise FenError(f"side to move must be 'w' or 'b', got {fields[1]!r} (field 2)")
-    _check_waiting_king(side, boards)
+    _check_waiting_king(side, boards, occupied)
 
     castling = _parse_castling_field(fields[2], boards)
 
@@ -255,7 +252,7 @@ def parse_fen(text: str) -> Position:
             raise FenError(
                 f"en-passant square {fields[3]} on wrong rank for side to move (field 4)"
             )
-        _check_ep_square(ep, side, boards)
+        _check_ep_square(ep, side, boards, occupied)
 
     return Position(tuple(boards), side, castling, ep)
 

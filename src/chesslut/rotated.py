@@ -15,23 +15,24 @@ Layouts:
   its prefix-sum offset.
 
 Every line family, ranks of the main board included, has one
-``LineLayout``: per square, the bit offset of its line, its position in the
-line and the line's ``tables.line_to_board`` table.  The module functions
-below are the composed reference form of a lookup, the same for all four
-lines: shift the line's occupancy byte down, index the 8x256 first-rank
-attack array with the mover's position, and map the attack byte back to
-board squares through the line's table.  That array is
-``tables.build_line_attack_bytes``, the walk the direct tables are built
-from.  The byte of a short diagonal also holds bits of the next diagonal
-above the line's end; those can only cut attacks off past that end, and the
-line's table maps every bit past the end to no square.
+``LineLayout``: per square, the bit offset of its line inside a
+``RotatedState``, its board's offset (0, 64, 128 or 192) included, its
+position in the line and the line's ``tables.line_to_board`` table.  The
+module functions below are the composed reference form of a lookup, the
+same for all four lines: shift the line's occupancy byte down from the
+state, index the 8x256 first-rank attack array with the mover's position,
+and map the attack byte back to board squares through the line's table.
+That array is ``tables.build_line_attack_bytes``, the walk the direct
+tables are built from.  The byte of a short diagonal also holds bits of
+the next diagonal above the line's end, or of the next board; those can
+only cut attacks off past that end, and the line's table maps every bit
+past the end to no square.
 
 ``movegen.RotatedBackend`` resolves that composition once per square, as
 Crafty does (Hyatt, ICCA J. 22(4), 1999): a shift past the line's first
 square and a 64-entry table of board attacks indexed by the line's six
-inner bits, since a line's end squares never block anything.  The shift
-also holds the offset of the line's board inside a ``RotatedState``, so its
-query is one shift, one mask and one index per line on a plain int.
+inner bits, since a line's end squares never block anything, so its query
+is one shift, one mask and one index per line on a plain int.
 
 Keeping the rotated boards up is the design's price, and the four boards
 live side by side in one int to keep it small: a ``RotatedState`` is
@@ -56,9 +57,9 @@ from .tables import build_line_attack_bytes as build_line_attack_bytes  # the ba
 
 @dataclass(frozen=True)
 class LineLayout:
-    """Where each square's line lives inside one occupancy board."""
+    """Where each square's line lives inside a ``RotatedState``."""
 
-    shift: tuple[int, ...]  # bit offset of the square's line
+    shift: tuple[int, ...]  # bit offset of the square's line in a RotatedState, its board's offset included
     pos: tuple[int, ...]  # the square's position within the line
     board: tuple[tuple[Bitboard, ...], ...]  # the line's line_to_board table
 
@@ -79,8 +80,8 @@ class RotationMaps:
     byte_rotations: tuple[tuple[int, ...], ...]
 
 
-def _line_layout(lines: tuple[tuple[Bitboard, ...], ...]) -> tuple[tuple[int, ...], LineLayout]:
-    """Pack *lines* back to back from bit 0: each square's bit, and the lines' layout."""
+def _line_layout(lines: tuple[tuple[Bitboard, ...], ...], board_offset: int) -> tuple[tuple[int, ...], LineLayout]:
+    """Pack *lines* back to back: each square's bit in its board, and their layout at *board_offset*."""
     mapping = [0] * 64
     shift = [0] * 64
     pos = [0] * 64
@@ -91,7 +92,7 @@ def _line_layout(lines: tuple[tuple[Bitboard, ...], ...]) -> tuple[tuple[int, ..
         for k, square_bb in enumerate(line):
             sq = square_bb.bit_length() - 1
             mapping[sq] = offset + k
-            shift[sq] = offset
+            shift[sq] = board_offset + offset
             pos[sq] = k
             board[sq] = line_board
         offset += len(line)
@@ -101,12 +102,13 @@ def _line_layout(lines: tuple[tuple[Bitboard, ...], ...]) -> tuple[tuple[int, ..
 def build_rotation_maps() -> RotationMaps:
     """Build the three square remappings, the four line layouts and the upkeep's flip and byte tables."""
     # Ranks lie in the main board in bit order, h square first.
-    _, rank_line = _line_layout(tuple(line[::-1] for line in RANK_LINES))
+    _, rank_line = _line_layout(tuple(line[::-1] for line in RANK_LINES), 0)
     # 90 degrees: the h file is the lowest byte, each file in rank order.
-    r90, file_line = _line_layout(FILE_LINES[::-1])
-    r45_ne, ne_line = _line_layout(NE_DIAGONALS)
-    r45_nw, nw_line = _line_layout(NW_DIAGONALS)
-    flips = tuple(1 << sq | 1 << 64 + r90[sq] | 1 << 128 + r45_ne[sq] | 1 << 192 + r45_nw[sq] for sq in range(64))
+    r90, file_line = _line_layout(FILE_LINES[::-1], 64)
+    r45_ne, ne_line = _line_layout(NE_DIAGONALS, 128)
+    r45_nw, nw_line = _line_layout(NW_DIAGONALS, 192)
+    layouts = (rank_line, file_line, ne_line, nw_line)
+    flips = tuple(sum(1 << line.shift[sq] + line.pos[sq] for line in layouts) for sq in range(64))
     byte_rotations = tuple(line_to_board(flips[8 * k : 8 * k + 8]) for k in range(8))
     return RotationMaps(r90, r45_ne, r45_nw, rank_line, file_line, ne_line, nw_line, flips, byte_rotations)
 
@@ -180,29 +182,25 @@ def toggle_square(state: RotatedState, maps: RotationMaps, square: Square) -> Ro
     return RotatedState(state ^ maps.flips[square])
 
 
-def _line_attacks(line: LineLayout, board: Bitboard, arrays: LineAttackArrays, square: Square) -> Bitboard:
-    """Attacks along *square*'s line: its byte of *board* shifted down, walked, mapped back to squares."""
+def _line_attacks(line: LineLayout, state: RotatedState, arrays: LineAttackArrays, square: Square) -> Bitboard:
+    """Attacks along *square*'s line: its byte of *state* shifted down, walked, mapped back to squares."""
     if not 0 <= square < 64:
         raise off_board(square)
-    return line.board[square][arrays[line.pos[square]][board >> line.shift[square] & 0xFF]]
+    return line.board[square][arrays[line.pos[square]][state >> line.shift[square] & 0xFF]]
 
 
 def rook_attacks_rotated(
     state: RotatedState, maps: RotationMaps, arrays: LineAttackArrays, square: Square
 ) -> Bitboard:
     """Rook attacks from *square*; a square outside 0..63 raises ValueError."""
-    return _line_attacks(maps.rank_line, state.occ, arrays, square) | _line_attacks(
-        maps.file_line, state.occ90, arrays, square
-    )
+    return _line_attacks(maps.rank_line, state, arrays, square) | _line_attacks(maps.file_line, state, arrays, square)
 
 
 def bishop_attacks_rotated(
     state: RotatedState, maps: RotationMaps, arrays: LineAttackArrays, square: Square
 ) -> Bitboard:
     """Bishop attacks from *square*; a square outside 0..63 raises ValueError."""
-    return _line_attacks(maps.ne_line, state.occ45_ne, arrays, square) | _line_attacks(
-        maps.nw_line, state.occ45_nw, arrays, square
-    )
+    return _line_attacks(maps.ne_line, state, arrays, square) | _line_attacks(maps.nw_line, state, arrays, square)
 
 
 def queen_attacks_rotated(

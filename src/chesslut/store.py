@@ -11,7 +11,7 @@ dict entries and to check them.  The format is fixed width, little endian:
                a u64 triple count followed by count * 24 bytes of
                (piece key, occupancy key, attack value) u64 triples
     ...        masks: rank, file, diag ne, diag nw, 64 u64 words each
-    trailer    crc32 of everything before it, u32
+    trailer    crc32 of everything before it, u32, the last bytes of the stream
 
 Loads are verified against magic, version and checksum and fail with an
 error naming the byte offset of the problem.  A file that passes the
@@ -127,6 +127,8 @@ def load_tables(source: BinaryIO | str | Path) -> AttackTables:
         raise TableLoadError(
             f"checksum failure at offset {trailer}: stored {stored:#010x}, computed {computed:#010x}"
         )
+    if source.read(1):
+        raise TableLoadError(f"trailing data at offset {offset}")
 
     tables = AttackTables(masks=masks, **loaded)
     _check_structure(tables)

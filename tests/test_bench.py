@@ -41,10 +41,13 @@ def test_load_corpus_counts_every_line(tmp_path):
 
 def test_load_corpus_skips_bad_lines_with_warning(tmp_path, capsys):
     path = tmp_path / "mixed.epd"
-    path.write_text("\n".join([GOOD_LINE] * 9 + [BAD_LINE]) + "\n")
+    # A skip count that str.isdigit accepts but int() does not is one more bad line.
+    path.write_text("\n".join([GOOD_LINE] * 9 + [BAD_LINE, "8/8/8/8/8/8/8/7\u00b2 w - -"]) + "\n")
     entries = load_corpus(path)
     assert len(entries) == 9
-    assert "line 10" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "line 10" in err
+    assert "warning: skipping line 11: bad skip count" in err
 
 
 def test_load_corpus_strict_mode_raises(tmp_path):
@@ -74,6 +77,11 @@ def test_load_corpus_undecodable_file_rejected(tmp_path):
     path.write_bytes(b"\xff\xfe")
     with pytest.raises(CorpusError, match="cannot read corpus: 'utf-8' codec"):
         load_corpus(path)
+
+
+def test_generate_corpus_rejects_a_count_below_one():
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        generate_corpus(0)
 
 
 def test_load_corpus_tolerates_crlf(tmp_path):
@@ -232,6 +240,16 @@ def sample_report():
 def test_csv_round_trip_is_exact():
     report = sample_report()
     assert parse_csv_report(emit_report(report, "csv")) == report
+
+
+def test_csv_parse_rejects_a_wrong_header_or_no_rows():
+    header, *rows = emit_report(sample_report(), "csv").splitlines(keepends=True)
+    with pytest.raises(ValueError, match="unrecognized report header"):
+        parse_csv_report(header.replace("backend", "engine") + "".join(rows))
+    with pytest.raises(ValueError, match="no data rows"):
+        parse_csv_report(header)
+    with pytest.raises(ValueError, match="shorter"):  # a row missing its last column
+        parse_csv_report(header + rows[0].rsplit(",", 1)[0] + "\n")
 
 
 def test_csv_round_trip_on_real_run(corpus_file, attack_tables):

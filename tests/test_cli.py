@@ -45,6 +45,15 @@ def test_perft_rotated_backend(capsys):
     assert capsys.readouterr().out.strip() == "400"
 
 
+def test_perft_rotated_backend_rejects_saved_tables(tmp_path, capsys):
+    # The rotated backend reads no tables, so a --tables path would be silently ignored.
+    path = tmp_path / "missing.bin"
+    assert main(["perft", "--depth", "1", "--backend", "rotated", "--tables", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "--tables serves only the direct backend" in captured.err
+    assert captured.out == ""
+
+
 def test_perft_with_fen(capsys):
     assert main(["perft", "--depth", "1", "--fen", "8/8/8/8/2B5/8/8/8 w - -"]) == 0
     assert capsys.readouterr().out.strip() == "11"

@@ -414,7 +414,7 @@ def test_perft_backends_agree(direct_backend, rotated_backend):
         assert perft(pos, depth, rotated_backend) == expected, fen
 
 
-@pytest.mark.parametrize("fen, depth, expected", [(KIWIPETE, 2, 2039), (STARTING_FEN, 3, 8902)])
+@pytest.mark.parametrize("fen, depth, expected", [(KIWIPETE, 2, 2039), (STARTING_FEN, 3, 8902), (STARTING_FEN, 1, 20)])
 def test_perft_divide_sums_to_perft(direct_backend, rotated_backend, fen, depth, expected):
     pos = parse_fen(fen)
     for backend in (direct_backend, rotated_backend):

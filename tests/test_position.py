@@ -50,10 +50,17 @@ def test_lone_bishop_fen():
 
 
 def test_rank_with_nine_files_rejected():
-    with pytest.raises(FenError, match="rank"):
-        parse_fen("9/8/8/8/8/8/8/8 w - -")
-    with pytest.raises(FenError, match="rank"):
-        parse_fen("rnbqkbnrr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq -")
+    for fen in (
+        "9/8/8/8/8/8/8/8 w - -",
+        "rnbqkbnrr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq -",
+        "8/8/8/8/8/8/8/K6 w - -",  # seven files
+    ):
+        with pytest.raises(FenError, match="rank"):
+            parse_fen(fen)
+    # Only 1-8 are skip counts: other characters that str.isdigit accepts are not.
+    for fen in ("8/8/8/8/8/8/8/7\u00b2 w - -", "8/8/8/8/8/8/8/\u06635 w - -"):
+        with pytest.raises(FenError, match="bad skip count .* in rank 1"):
+            parse_fen(fen)
 
 
 def test_unknown_piece_letter_rejected():
@@ -67,6 +74,10 @@ def test_contradictory_castling_rights_rejected():
         parse_fen("rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBN1 w KQkq -")
     with pytest.raises(FenError, match="castling"):
         parse_fen("8/8/8/8/8/8/8/3K4 w K -")
+    with pytest.raises(FenError, match="unknown castling flag 'X'"):
+        parse_fen("4k3/8/8/8/8/8/8/4K2R w X -")
+    with pytest.raises(FenError, match="duplicate castling flag 'K'"):
+        parse_fen("4k3/8/8/8/8/8/8/4K2R w KK -")
 
 
 def test_too_few_fields_rejected():
@@ -111,6 +122,7 @@ def test_side_not_to_move_in_check_rejected():
         "4k3/8/8/8/8/8/3p4/4K3 b - -",  # black pawn attacks down the board
         "4k3/8/8/1B6/8/8/8/4K3 w - -",  # bishop
         "8/8/8/8/8/8/8/3kK3 b - -",  # touching kings
+        "4k3/8/8/8/8/8/8/4K3 x - -",  # no side to move at all
     ):
         with pytest.raises(FenError, match="field 2"):
             parse_fen(fen)

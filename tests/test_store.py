@@ -107,6 +107,13 @@ def test_corrupt_count_reads_to_the_end_of_the_stream(attack_tables):
     assert str(excinfo.value) == f"truncated stream at offset {len(data)}"
 
 
+def test_bytes_after_the_trailer_are_rejected(attack_tables):
+    data = saved_bytes(attack_tables)
+    with pytest.raises(TableLoadError) as excinfo:
+        load_tables(io.BytesIO(data + bytes(700)))
+    assert str(excinfo.value) == f"trailing data at offset {len(data)}"
+
+
 def test_flipped_table_byte_fails_checksum_at_the_trailer(attack_tables):
     data = bytearray(saved_bytes(attack_tables))
     data[_FIRST_BLOCK + 24 * 100 + 11] ^= 0x10
