@@ -125,6 +125,11 @@ def describe_environment() -> str:
 
 
 def run_bench(config: BenchConfig, tables: AttackTables | None = None) -> BenchReport:
+    """Time each selected backend over the corpus, building only what it reads.
+
+    The direct backend serves from *tables*, built here when None; the
+    rotated backend reads no tables.
+    """
     if config.repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     if config.warmup < 0:
@@ -136,19 +141,15 @@ def run_bench(config: BenchConfig, tables: AttackTables | None = None) -> BenchR
             raise ValueError(f"unknown backend {name!r}")
 
     corpus = load_corpus(config.corpus_path, strict=config.strict)
-    if tables is None:
-        tables = build_attack_tables()
     maps = build_rotation_maps()
-    arrays = build_line_attack_bytes()
     boards = precompute_boards(corpus, maps)
-    backends: dict[str, AttackBackend] = {
-        "direct": DirectBackend(tables),
-        "rotated": RotatedBackend(maps, arrays),
-    }
 
     timings = []
     for name in config.backends:
-        backend = backends[name]
+        if name == "direct":
+            backend: AttackBackend = DirectBackend(build_attack_tables() if tables is None else tables)
+        else:
+            backend = RotatedBackend(maps, build_line_attack_bytes())
         jobs = [(position, backend.context_from_state(state)) for position, state in boards]
         if config.warmup:
             _timed_passes(backend, jobs, config.warmup)
@@ -238,7 +239,11 @@ def emit_report(report: BenchReport, output_format: str = "text") -> str:
 
 
 def parse_csv_report(text: str) -> BenchReport:
-    """Inverse of the csv emitter; numeric fields round trip exactly."""
+    """Inverse of the csv emitter; numeric fields round trip exactly.
+
+    Every row must share the first row's environment, corpus size and
+    repetitions, and its moves per pass, as every report of ``run_bench`` does.
+    """
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0] != _CSV_HEADER:
         raise ValueError("unrecognized report header")
@@ -249,4 +254,7 @@ def parse_csv_report(text: str) -> BenchReport:
         BackendTiming(*(convert(value) for convert, value in zip(_CSV_CONVERTERS, row[3:], strict=True)))
         for row in rows[1:]
     )
+    for lineno, (row, timing) in enumerate(zip(rows[1:], timings), start=2):
+        if row[:3] != rows[1][:3] or timing.moves_per_pass != timings[0].moves_per_pass:
+            raise ValueError(f"line {lineno}: environment, corpus size, repetitions or moves per pass differ from line 2")
     return BenchReport(environment, int(corpus_size), int(repetitions), timings)

@@ -23,6 +23,14 @@ from .store import TableLoadError, load_tables, save_tables
 from .tables import AttackTables, build_attack_tables
 
 
+def _rotated_with_tables(args: argparse.Namespace) -> bool:
+    """True, after printing the error, when --tables comes with --backend rotated, which reads no tables."""
+    if args.tables and args.backend == "rotated":
+        print("error: --tables serves only the direct backend, not --backend rotated", file=sys.stderr)
+        return True
+    return False
+
+
 def _load_or_build_tables(path: str | None) -> AttackTables:
     if path:
         print(f"loading tables from {path}", file=sys.stderr)
@@ -63,8 +71,7 @@ def cmd_perft(args: argparse.Namespace) -> int:
     if args.depth < 0 and not args.divide:  # perft_divide names its own limit
         print("error: depth must be >= 0", file=sys.stderr)
         return 1
-    if args.tables and args.backend == "rotated":
-        print("error: --tables serves only the direct backend, not --backend rotated", file=sys.stderr)
+    if _rotated_with_tables(args):
         return 1
     position = parse_fen(args.fen)
     if args.backend == "rotated":
@@ -86,6 +93,8 @@ def cmd_perft(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if _rotated_with_tables(args):
+        return 1
     backends = ("direct", "rotated") if args.backend == "both" else (args.backend,)
     config = BenchConfig(
         corpus_path=args.corpus,
@@ -94,7 +103,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         warmup=args.warmup,
         strict=args.strict,
     )
-    report = run_bench(config, _load_or_build_tables(args.tables))
+    report = run_bench(config, _load_or_build_tables(args.tables) if "direct" in backends else None)
     print(f"benchmarked {report.corpus_size} positions x {report.repetitions} reps", file=sys.stderr)
     print(emit_report(report, args.format), end="")
     return 0
@@ -170,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--reps", type=int, default=10)
     p_bench.add_argument("--warmup", type=int, default=2)
     p_bench.add_argument("--format", choices=("text", "csv", "markdown"), default="text")
-    p_bench.add_argument("--tables", default=None)
+    p_bench.add_argument("--tables", default=None, help="load saved tables instead of building (direct backend only)")
     p_bench.add_argument("--strict", action="store_true", help="fail on malformed corpus lines")
     p_bench.set_defaults(func=cmd_bench)
 

@@ -9,10 +9,12 @@ probes; the rotated one each line's shift and 64-entry attack table, so a
 query is a shift, a mask and an index per line.
 A move is an int: ``Move`` subclasses int, and its value packs the move as
 ``from | to << 6 | piece << 12 | kind << 15 | promotion << 18``.  The
-generator looks quiet moves, captures and double pushes up by from-square
-and target bit in tables of Move objects, each made on its first use and
-shared for the life of the process; make_move decodes with shifts and
-masks, and the Move properties decode the same fields for callers.
+generator looks quiet moves, captures and double pushes up in tuples of
+Move objects, built at import for every target a piece reaches on the
+empty board and shared for the life of the process: a pawn push by colour
+and from-square, any other such move by piece, from-square, kind and target
+square.  make_move decodes with shifts and masks, and the Move properties
+decode the same fields for callers.
 Positions are immutable, so make_move returns a new Position and unmaking
 is just keeping the old value; it XORs the squares a move touches into the
 parent's colour boards, so no child derives its occupancy from its twelve
@@ -339,41 +341,57 @@ _EP_CAPTURE_CODE = EP_CAPTURE << 15
 _PROMOTION_CODES = tuple(PROMOTION << 15 | promo << 18 for promo in (QUEEN, ROOK, BISHOP, KNIGHT))
 
 
-# One int per square bit, shared by every table below as its keys.
-_SQUARE_BITS = tuple(1 << sq for sq in range(64))
+def _target_moves(piece: int, kind: int, reach: tuple[Bitboard, ...]) -> tuple[tuple[Move | None, ...], ...]:
+    """Per from-square, the Moves of *piece* and *kind* onto its *reach*, indexed by target square.
 
-
-class _TargetMoves(dict):
-    """The moves of one from-square and base code, keyed by their target's bit.
-
-    A move is made on its first lookup and kept, so each distinct move is
-    one shared object for the life of the process; the code space bounds
-    their number.
+    A from-square's tuple ends at its highest target; a slot below it holds
+    None when its square is out of reach.  Only reached slots get a Move,
+    so the build makes each move once.
     """
-
-    __slots__ = ("base",)
-
-    def __init__(self, base: int) -> None:
-        self.base = base
-
-    def __missing__(self, low: Bitboard) -> Move:
-        to_sq = low.bit_length() - 1
-        move = self[_SQUARE_BITS[to_sq]] = Move(self.base | to_sq << 6)
-        return move
-
-
-def _target_moves(piece: int, kinds: tuple[int, ...]) -> tuple[tuple[_TargetMoves, ...], ...]:
-    return tuple(tuple(_TargetMoves(sq | piece << 12 | kind << 15) for kind in kinds) for sq in range(64))
+    per_square = []
+    for sq, targets in enumerate(reach):
+        base = sq | piece << 12 | kind << 15
+        slots: list[Move | None] = [None] * targets.bit_length()
+        while targets:
+            low = targets & -targets
+            targets ^= low
+            to_sq = low.bit_length() - 1
+            slots[to_sq] = Move(base | to_sq << 6)
+        per_square.append(tuple(slots))
+    return tuple(per_square)
 
 
-# Per from-square: (push, double push, capture) for pawns, (quiet, capture)
-# for the other pieces.
-_PAWN_MOVES = _target_moves(PAWN, (QUIET, DOUBLE_PUSH, CAPTURE))
-_KNIGHT_MOVES = _target_moves(KNIGHT, (QUIET, CAPTURE))
-_BISHOP_MOVES = _target_moves(BISHOP, (QUIET, CAPTURE))
-_ROOK_MOVES = _target_moves(ROOK, (QUIET, CAPTURE))
-_QUEEN_MOVES = _target_moves(QUEEN, (QUIET, CAPTURE))
-_KING_MOVES = _target_moves(KING, (QUIET, CAPTURE))
+def _quiet_and_capture(piece: int, reach: tuple[Bitboard, ...]) -> tuple[tuple[tuple[Move | None, ...], ...], ...]:
+    return tuple(zip(_target_moves(piece, QUIET, reach), _target_moves(piece, CAPTURE, reach)))
+
+
+def _pawn_pushes(kind: int, push: int, from_squares: Bitboard) -> tuple[Move | None, ...]:
+    """Per from-square, the pawn push of *kind* by *push* squares from each of *from_squares*; else None."""
+    return tuple(Move(sq | (sq + push) << 6 | kind << 15) if from_squares >> sq & 1 else None for sq in range(64))
+
+
+# Each square's rook and bishop lines on the empty board: the squares a slider
+# there can reach, and the only lines from which an enemy slider can pin a
+# piece to a king on that square, or check it.
+_ROOK_LINES = tuple(rook_rays(0, sq) for sq in range(64))
+_BISHOP_LINES = tuple(bishop_rays(0, sq) for sq in range(64))
+
+# The shared Move of every quiet move, capture and double push.  Pawn pushes
+# and double pushes: per colour, one tuple indexed by from-square.  Pawn
+# captures: per from-square, one tuple indexed by target square, both colours'
+# targets in it.  The other pieces: per from-square, (quiet, capture) tuples
+# indexed by target square.  No target is on a promotion rank: promotions
+# are encoded as they are found.
+_PAWN_PUSHES = (_pawn_pushes(QUIET, 8, 0xFFFF_FFFF_FFFF), _pawn_pushes(QUIET, -8, 0xFFFF_FFFF_FFFF << 16))
+_PAWN_DOUBLE_PUSHES = (_pawn_pushes(DOUBLE_PUSH, 16, 0xFF << 8), _pawn_pushes(DOUBLE_PUSH, -16, 0xFF << 48))
+_PAWN_CAPTURES = _target_moves(
+    PAWN, CAPTURE, tuple(white & ~(0xFF << 56) | black & ~0xFF for white, black in zip(*PAWN_ATTACKS))
+)
+_KNIGHT_MOVES = _quiet_and_capture(KNIGHT, KNIGHT_ATTACKS)
+_BISHOP_MOVES = _quiet_and_capture(BISHOP, _BISHOP_LINES)
+_ROOK_MOVES = _quiet_and_capture(ROOK, _ROOK_LINES)
+_QUEEN_MOVES = _quiet_and_capture(QUEEN, tuple(rook | bishop for rook, bishop in zip(_ROOK_LINES, _BISHOP_LINES)))
+_KING_MOVES = _quiet_and_capture(KING, KING_ATTACKS)
 
 
 def generate_pseudo_legal(
@@ -385,9 +403,11 @@ def generate_pseudo_legal(
     is emitted only through empty, unattacked squares.  Order is fixed for a
     given position: pawns, knights, bishops, rooks, queens, king, castles,
     each scanned from the low bit up.  Quiet moves, captures and double
-    pushes are looked up by from-square and target bit in tables of shared
-    Move objects; promotions, en-passant captures and castles are encoded
-    as they are found.
+    pushes are looked up in tuples of shared Move objects, pawn pushes by
+    from-square and the rest by target square; knights, sliders and the
+    king queue their (tuples, targets) pairs for one emission loop.
+    Promotions, en-passant captures and castles are encoded as they are
+    found.
     """
     us = position.side_to_move
     them = 1 - us
@@ -400,33 +420,27 @@ def generate_pseudo_legal(
     moves: list[Move] = []
     add = moves.append
 
-    def emit(square_moves: tuple[_TargetMoves, _TargetMoves], targets: Bitboard) -> None:
-        quiet, capture = square_moves
-        while targets:
-            low = targets & -targets
-            targets ^= low
-            add(capture[low] if enemy & low else quiet[low])
-
     push = 8 if us == WHITE else -8
     start_rank = 1 if us == WHITE else 6
     promo_rank = 7 if us == WHITE else 0
     ep_bb = 0 if position.ep_square is None else 1 << position.ep_square
 
+    pushes = _PAWN_PUSHES[us]
+    double_pushes = _PAWN_DOUBLE_PUSHES[us]
     pawns, knights, bishops, rooks, queens, king = position.pieces[us * 6 : us * 6 + 6]
     while pawns:
         low = pawns & -pawns
         sq = low.bit_length() - 1  # also the base code: PAWN is 0
         pawns ^= low
-        pushes, double_pushes, pawn_captures = _PAWN_MOVES[sq]
         target = sq + push
         if 0 <= target <= 63 and not occupied & (1 << target):
             if target >> 3 == promo_rank:
                 for promo in _PROMOTION_CODES:
                     add(Move(sq | target << 6 | promo))
             else:
-                add(pushes[1 << target])
+                add(pushes[sq])
                 if sq >> 3 == start_rank and not occupied & (1 << (target + push)):
-                    add(double_pushes[1 << (target + push)])
+                    add(double_pushes[sq])
         attacks = PAWN_ATTACKS[us][sq]
         captures = attacks & enemy
         while captures:
@@ -437,15 +451,17 @@ def generate_pseudo_legal(
                 for promo in _PROMOTION_CODES:
                     add(Move(sq | cap_sq << 6 | promo))
             else:
-                add(pawn_captures[cap_low])
+                add(_PAWN_CAPTURES[sq][cap_sq])
         if attacks & ep_bb:
             add(Move(sq | position.ep_square << 6 | _EP_CAPTURE_CODE))
 
+    # (quiet moves, captures) of one from-square, and its targets, per piece in order.
+    pending: list[tuple[tuple, Bitboard]] = []
     while knights:
         low = knights & -knights
         sq = low.bit_length() - 1
         knights ^= low
-        emit(_KNIGHT_MOVES[sq], KNIGHT_ATTACKS[sq] & ~own)
+        pending.append((_KNIGHT_MOVES[sq], KNIGHT_ATTACKS[sq] & ~own))
 
     for piece_moves, sliders, attack_fn in (
         (_BISHOP_MOVES, bishops, backend.bishop),
@@ -456,18 +472,26 @@ def generate_pseudo_legal(
             low = sliders & -sliders
             sq = low.bit_length() - 1
             sliders ^= low
-            emit(piece_moves[sq], attack_fn(context, sq) & ~own)
+            pending.append((piece_moves[sq], attack_fn(context, sq) & ~own))
 
     if king:
         sq = king.bit_length() - 1
-        emit(_KING_MOVES[sq], KING_ATTACKS[sq] & ~own)
-        if position.castling:
-            for right in _CASTLING_RULES[us]:
-                if not position.castling & right.flag or occupied & right.must_be_empty:
-                    continue
-                if any(is_square_attacked(position, s, them, backend, context) for s in right.must_be_safe):
-                    continue
-                add(encode_move(right.king_from, right.king_to, KING, CASTLE))
+        pending.append((_KING_MOVES[sq], KING_ATTACKS[sq] & ~own))
+
+    for (quiet, capture), targets in pending:
+        while targets:
+            low = targets & -targets
+            targets ^= low
+            to_sq = low.bit_length() - 1
+            add(capture[to_sq] if enemy & low else quiet[to_sq])
+
+    if king and position.castling:
+        for right in _CASTLING_RULES[us]:
+            if not position.castling & right.flag or occupied & right.must_be_empty:
+                continue
+            if any(is_square_attacked(position, s, them, backend, context) for s in right.must_be_safe):
+                continue
+            add(encode_move(right.king_from, right.king_to, KING, CASTLE))
 
     return moves
 
@@ -530,12 +554,6 @@ def make_move(position: Position, move: int) -> Position:
     return _new_tuple(Position, (tuple(pieces), them, castling, ep, occupancy))
 
 
-# Each square's rook and bishop lines on the empty board: an enemy slider can
-# pin a piece to a king on that square, or check it, only from these lines.
-_ROOK_LINES = tuple(rook_rays(0, sq) for sq in range(64))
-_BISHOP_LINES = tuple(bishop_rays(0, sq) for sq in range(64))
-
-
 def in_check(position: Position, color: int, backend: AttackBackend, context: Any = None) -> bool:
     """True if *color*'s king is attacked; a side without a king is never in check.
 
@@ -561,12 +579,14 @@ def _legal_children(
     whether the side to move is in check and which own pieces are suspects:
     the first blockers on the king's rook lines when an enemy rook or queen
     stands on those lines of the empty board, and likewise for bishop lines.
-    ``in_check`` then runs only on the children of a parent in check, king
-    moves (castling included), en-passant captures (they empty two squares)
-    and moves from a suspect square.  Any other move is legal: the king
-    stays put, no enemy piece moves or appears, and the one square the move
-    empties is no first blocker between the king and an enemy slider of the
-    matching type, so no line to the king opens.
+    The king and the own pawns that can capture en passant (such a capture
+    empties two squares) are suspects too.  ``in_check`` then runs only on
+    the children of a parent in check and on those whose move starts on a
+    suspect square, castles included; the en-passant pawns' other moves are
+    tested too, which costs a test and changes no result.  Any other move
+    is legal: the king stays put, no enemy piece moves or appears, and the
+    one square the move empties is no first blocker between the king and an
+    enemy slider of the matching type, so no line to the king opens.
     """
     us = position.side_to_move
     king = position.pieces[us * 6 + KING]
@@ -592,14 +612,15 @@ def _legal_children(
                 suspects |= rook_seen & own
             if _BISHOP_LINES[ksq] & (bishops | queens):
                 suspects |= bishop_seen & own
+            if position.ep_square is not None:
+                suspects |= PAWN_ATTACKS[1 - us][position.ep_square] & position.pieces[us * 6 + PAWN]
     prepare = backend.prepare
     children = []
     for move in generate_pseudo_legal(position, backend, context):
         child = make_move(position, move)
         white, black = child.occupancy
         child_context = prepare(white | black, context, move)
-        tested = suspects >> (move & 63) & 1 or move >> 15 & 7 == EP_CAPTURE
-        if not (tested and in_check(child, us, backend, child_context)):
+        if not (suspects >> (move & 63) & 1 and in_check(child, us, backend, child_context)):
             children.append((move, child, child_context))
     return children
 

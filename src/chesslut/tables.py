@@ -200,15 +200,15 @@ def line_to_board(line: tuple[Bitboard, ...]) -> tuple[Bitboard, ...]:
 
     Built by doubling: step k appends a copy of the table so far with
     line[k] added.  Bits past the end of a line shorter than 8 stand for
-    no square, so a byte's bits beyond the line are dropped.
+    no square, so a byte's bits beyond the line are dropped: the line's
+    2**len(line) entries repeat to fill 256, the same int objects each time.
     """
     if len(line) > 8:
         raise ValueError(f"a line has at most 8 squares, got {len(line)}")
     board = [0]
-    for k in range(8):
-        square_bb = line[k] if k < len(line) else 0
+    for square_bb in line:
         board += [bb | square_bb for bb in board]
-    return tuple(board)
+    return tuple(board * (256 >> len(line)))
 
 
 # The a8-h1 reflection as a lookup: first-rank byte -> h-file bitboard.

@@ -252,6 +252,17 @@ def test_csv_parse_rejects_a_wrong_header_or_no_rows():
         parse_csv_report(header + rows[0].rsplit(",", 1)[0] + "\n")
 
 
+@pytest.mark.parametrize("column", ["environment", "corpus_size", "repetitions", "moves_per_pass"])
+def test_csv_parse_rejects_rows_that_disagree(column):
+    # run_bench times every backend on one corpus, so a report's rows share these fields.
+    header, first, second = emit_report(sample_report(), "csv").splitlines(keepends=True)
+    fields = second.rstrip("\n").split(",")
+    index = header.rstrip("\n").split(",").index(column)
+    fields[index] += "0"
+    with pytest.raises(ValueError, match="line 3: environment, corpus size, repetitions or moves per pass differ"):
+        parse_csv_report(header + first + ",".join(fields) + "\n")
+
+
 def test_csv_round_trip_on_real_run(corpus_file, attack_tables):
     report = run_bench(
         BenchConfig(corpus_path=corpus_file, repetitions=1, warmup=0), tables=attack_tables

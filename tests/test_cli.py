@@ -183,6 +183,31 @@ def test_bench_with_saved_tables_loads_them_instead_of_building(small_corpus, tm
     assert f"loading tables from {path}" in capsys.readouterr().err
 
 
+def test_bench_rotated_backend_rejects_saved_tables(small_corpus, tmp_path, capsys):
+    # The rotated backend reads no tables, so a --tables path would be silently ignored.
+    path = tmp_path / "missing.bin"
+    args = ["bench", "--corpus", str(small_corpus), "--backend", "rotated", "--tables", str(path)]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert "--tables serves only the direct backend" in captured.err
+    assert captured.out == ""
+
+
+def test_bench_rotated_backend_builds_no_tables(small_corpus, capsys, monkeypatch):
+    import chesslut.bench as bench_module
+    import chesslut.cli as cli_module
+
+    def no_build():
+        pytest.fail("bench built the direct tables for the rotated backend alone")
+
+    monkeypatch.setattr(bench_module, "build_attack_tables", no_build)
+    monkeypatch.setattr(cli_module, "build_attack_tables", no_build)
+    assert main(["bench", "--corpus", str(small_corpus), "--backend", "rotated", "--reps", "1", "--warmup", "0"]) == 0
+    captured = capsys.readouterr()
+    assert "tables" not in captured.err
+    assert "rotated" in captured.out and "direct" not in captured.out
+
+
 def test_verify_reports_zero_mismatches(capsys):
     assert main(["verify", "--trials", "60", "--seed", "2"]) == 0
     assert "60 trials, 0 mismatches" in capsys.readouterr().out

@@ -32,6 +32,7 @@ from chesslut.movegen import (
     perft_divide,
 )
 from chesslut.position import (
+    BISHOP,
     BLACK,
     CASTLE_BK,
     CASTLE_BQ,
@@ -525,6 +526,12 @@ def test_generation_order_pinned_by_corpus_digest(direct_backend):
     assert hashlib.sha256(sink.getvalue().encode("utf-8")).hexdigest() == CORPUS_200_SEED_1_SHA256
 
 
+def test_rotated_generation_order_matches_the_corpus_digest(rotated_backend):
+    sink = io.StringIO()
+    write_corpus(generate_corpus(200, seed=1, backend=rotated_backend), sink)
+    assert hashlib.sha256(sink.getvalue().encode("utf-8")).hexdigest() == CORPUS_200_SEED_1_SHA256
+
+
 def published_roots_and_children(backend):
     for fen in PUBLISHED:
         root = parse_fen(fen)
@@ -659,30 +666,54 @@ def test_legal_children_match_brute_force_on_hand_built_cases(
 
 
 def target_move_tables():
-    return [
-        moves
-        for piece_moves in (
-            movegen._PAWN_MOVES,
-            movegen._KNIGHT_MOVES,
-            movegen._BISHOP_MOVES,
-            movegen._ROOK_MOVES,
-            movegen._QUEEN_MOVES,
-            movegen._KING_MOVES,
-        )
-        for square_moves in piece_moves
-        for moves in square_moves
-    ]
+    """{(piece, from-square, kind): tuple of tabled moves indexed by target square}."""
+    tables = {(PAWN, sq, CAPTURE): moves for sq, moves in enumerate(movegen._PAWN_CAPTURES)}
+    for piece, piece_moves in (
+        (KNIGHT, movegen._KNIGHT_MOVES),
+        (BISHOP, movegen._BISHOP_MOVES),
+        (ROOK, movegen._ROOK_MOVES),
+        (QUEEN, movegen._QUEEN_MOVES),
+        (KING, movegen._KING_MOVES),
+    ):
+        for sq, (quiet, capture) in enumerate(piece_moves):
+            tables[piece, sq, QUIET] = quiet
+            tables[piece, sq, CAPTURE] = capture
+    return tables
+
+
+# (kind, step, tuple of one colour's tabled pawn pushes indexed by from-square)
+PAWN_PUSH_TABLES = [
+    (kind, step if color == WHITE else -step, pushes[color])
+    for kind, step, pushes in ((QUIET, 8, movegen._PAWN_PUSHES), (DOUBLE_PUSH, 16, movegen._PAWN_DOUBLE_PUSHES))
+    for color in (WHITE, BLACK)
+]
 
 
 def test_generated_moves_are_shared_and_tabled_once(direct_backend, rotated_backend):
-    """Over the digest corpus, on both backends and twice each: every quiet
-    move, capture and double push is one Move object per code, and the
-    tables hold exactly the codes emitted, once each, under their target bit."""
+    """Every tabled move decodes to the piece, from-square, kind and target it
+    sits under, and over the digest corpus, on both backends and twice each,
+    every quiet move, capture and double push is the table's own Move object."""
+    tabled = []
+    for (piece, sq, kind), moves in target_move_tables().items():
+        assert type(moves) is tuple and len(moves) <= 64
+        for to_sq, move in enumerate(moves):
+            if move is not None:
+                assert type(move) is Move, move
+                fields = (move.piece, move.from_square, move.kind, move.to_square, move.promotion)
+                assert fields == (piece, sq, kind, to_sq, None), move
+                tabled.append(int(move))
+    for kind, step, pushes in PAWN_PUSH_TABLES:
+        assert type(pushes) is tuple and len(pushes) == 64
+        for sq, move in enumerate(pushes):
+            if move is not None:
+                assert type(move) is Move, move
+                fields = (move.piece, move.from_square, move.kind, move.to_square, move.promotion)
+                assert fields == (PAWN, sq, kind, sq + step, None), move
+                tabled.append(int(move))
+    assert len(tabled) == len(set(tabled))
+
     corpus = [position for position, _ in generate_corpus(200, seed=1, backend=direct_backend)]
     tables = target_move_tables()
-    for moves in tables:
-        moves.clear()
-    shared = {}
     kinds = Counter()
     for backend in (direct_backend, rotated_backend):
         for _ in range(2):
@@ -690,17 +721,36 @@ def test_generated_moves_are_shared_and_tabled_once(direct_backend, rotated_back
                 for move in generate_pseudo_legal(position, backend):
                     assert type(move) is Move, move
                     kinds[move.kind] += 1
-                    if move.kind in (QUIET, CAPTURE, DOUBLE_PUSH):
-                        assert shared.setdefault(int(move), move) is move, move
+                    if move.kind in (QUIET, DOUBLE_PUSH) and move.piece == PAWN:
+                        pushes = movegen._PAWN_PUSHES if move.kind == QUIET else movegen._PAWN_DOUBLE_PUSHES
+                        assert pushes[position.side_to_move][move.from_square] is move, move
+                    elif move.kind in (QUIET, CAPTURE):
+                        assert tables[move.piece, move.from_square, move.kind][move.to_square] is move, move
     assert {QUIET, CAPTURE, DOUBLE_PUSH} <= set(kinds)
-    tabled = []
-    for moves in tables:
-        for low, move in moves.items():
-            assert low is movegen._SQUARE_BITS[move.to_square], move
-            assert move.from_square | move.piece << 12 | move.kind << 15 == moves.base, move
-            assert shared[move] is move, move
-            tabled.append(int(move))
-    assert len(tabled) == len(set(tabled)) == len(shared)
+
+
+def test_move_tables_fill_each_piece_reach_on_the_empty_board():
+    """Tabled moves per piece and kind: every target each piece reaches from
+    every square on the empty board, and no more.  Each pawn colour has 48
+    pushes, 8 double pushes and 84 captures, none onto a promotion rank."""
+    reach = {
+        PAWN: {QUIET: 96, DOUBLE_PUSH: 16, CAPTURE: 168},
+        KNIGHT: {QUIET: 336, CAPTURE: 336},
+        BISHOP: {QUIET: 560, CAPTURE: 560},
+        ROOK: {QUIET: 896, CAPTURE: 896},
+        QUEEN: {QUIET: 1456, CAPTURE: 1456},
+        KING: {QUIET: 420, CAPTURE: 420},
+    }
+    tabled = {piece: Counter() for piece in reach}
+    for (piece, _, kind), moves in target_move_tables().items():
+        tabled[piece][kind] += sum(move is not None for move in moves)
+    for kind, _, pushes in PAWN_PUSH_TABLES:
+        tabled[PAWN][kind] += sum(move is not None for move in pushes)
+    assert tabled == reach
+    assert sum(popcount(bb) for bb in KNIGHT_ATTACKS) == 336
+    assert sum(popcount(bb) for bb in KING_ATTACKS) == 420
+    assert sum(popcount(rook_rays(0, sq)) for sq in range(64)) == 896
+    assert sum(popcount(bishop_rays(0, sq)) for sq in range(64)) == 560
 
 
 # -- make_move against the reference engine -----------------------------------

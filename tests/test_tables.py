@@ -189,8 +189,8 @@ def test_line_to_board_drops_bits_past_line_end():
         assert len(board) == 256
         for k in range(8):
             assert board[1 << k] == (line[k] if k < length else 0)
-        for byte in range(256):
-            assert board[byte] == board[byte & ((1 << length) - 1)]
+        for byte in range(256):  # the repeats share the line's own int objects
+            assert board[byte] is board[byte & ((1 << length) - 1)]
     with pytest.raises(ValueError, match="at most 8 squares"):
         line_to_board(RANK_LINES[0] + (H2,))
 
