@@ -1,9 +1,11 @@
 """Benchmark harness: time move generation per backend over a corpus.
 
-For every corpus position the main occupancy and its three rotated boards
-are precalculated once and shared, so the timed region contains nothing but
-repeated full generation passes on a monotonic wall clock.  Table and map
-construction, corpus parsing and report emission all happen outside it.
+Each selected backend builds only what it reads (the direct backend its
+tables, the rotated one its rotation maps) and makes every corpus
+position's context once with ``prepare``, so the timed region contains
+nothing but repeated full generation passes on a monotonic wall clock.
+Table and map construction, context making, corpus parsing and report
+emission all happen outside it.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ def load_corpus(path: str | Path, strict: bool = False) -> list[tuple[Position, 
 def precompute_boards(
     corpus: list[tuple[Position, str | None]], maps
 ) -> list[tuple[Position, RotatedState]]:
-    """Main occupancy plus the three rotated boards for every position."""
+    """Main occupancy plus the three rotated boards for every position; perfbench's input."""
     return [(position, make_rotated_state(position.occupied(), maps)) for position, _ in corpus]
 
 
@@ -128,7 +130,7 @@ def run_bench(config: BenchConfig, tables: AttackTables | None = None) -> BenchR
     """Time each selected backend over the corpus, building only what it reads.
 
     The direct backend serves from *tables*, built here when None; the
-    rotated backend reads no tables.
+    rotated backend reads no tables and builds its own rotation maps.
     """
     if config.repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -141,16 +143,14 @@ def run_bench(config: BenchConfig, tables: AttackTables | None = None) -> BenchR
             raise ValueError(f"unknown backend {name!r}")
 
     corpus = load_corpus(config.corpus_path, strict=config.strict)
-    maps = build_rotation_maps()
-    boards = precompute_boards(corpus, maps)
 
     timings = []
     for name in config.backends:
         if name == "direct":
             backend: AttackBackend = DirectBackend(build_attack_tables() if tables is None else tables)
         else:
-            backend = RotatedBackend(maps, build_line_attack_bytes())
-        jobs = [(position, backend.context_from_state(state)) for position, state in boards]
+            backend = RotatedBackend(build_rotation_maps(), build_line_attack_bytes())
+        jobs = [(position, backend.prepare(position.occupied())) for position, _ in corpus]
         if config.warmup:
             _timed_passes(backend, jobs, config.warmup)
         elapsed, counts = _timed_passes(backend, jobs, config.repetitions)

@@ -35,11 +35,6 @@ def off_board(square: object) -> ValueError:
     return ValueError(f"square {square!r} is off the board (expected 0..63)")
 
 
-def square_bb(square: Square) -> Bitboard:
-    """Bitboard with only *square* set."""
-    return 1 << square
-
-
 def file_of(square: Square) -> int:
     """File index 0-7 (a-h)."""
     return 7 - (square & 7)
@@ -64,10 +59,6 @@ def square_index(name: str) -> Square:
     if len(name) != 2 or name[0] not in "abcdefgh" or name[1] not in "12345678":
         raise ValueError(f"invalid square name: {name!r}")
     return make_square(ord(name[0]) - ord("a"), int(name[1]) - 1)
-
-
-def popcount(bb: Bitboard) -> int:
-    return bb.bit_count()
 
 
 def bit_index(bb: Bitboard) -> Square:

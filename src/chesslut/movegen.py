@@ -126,7 +126,8 @@ class AttackBackend(Protocol):
     ``prepare(occupied, parent, move)`` builds it from *parent*, the context
     of the board *move* was made on: the upkeep a backend pays per move in
     the search.  ``context_from_state`` turns a precomputed ``RotatedState``
-    into the backend's context.
+    into the backend's context; only perfbench still calls it, on the boards
+    of ``bench.precompute_boards``.
     """
 
     name: str

@@ -103,9 +103,6 @@ class Position(_PositionFields):
             raise TypeError("occupancy is derived from pieces")
         return Position(*_PositionFields._replace(self, **changes)[:4])
 
-    def piece_bb(self, color: int, piece_type: int) -> Bitboard:
-        return self.pieces[color * 6 + piece_type]
-
     def color_bb(self, color: int) -> Bitboard:
         return self.occupancy[color]
 

@@ -22,12 +22,13 @@ Every table comes from one walk: ``build_line_attack_bytes``, the 8x256
 first-rank array of attack bytes, which the rotated baseline indexes too.
 ``line_to_board`` turns a line's bytes into board bitboards (bit k stands
 for the line's k-th square).  Rank tables shift the walk up rank by rank
-(one rank up multiplies keys and values by 256); file tables reflect the
-rank entries across the a8-h1 line through ``RANK_TO_FILE``, the
-``line_to_board`` table of the h file.  Diagonal tables, whose lines are 1
-to 8 squares long, come from a generalized builder that maps the walk
-through each line's ``line_to_board`` table; the same builder reproduces
-the rank and file tables exactly.
+(one rank up multiplies keys and values by 256).  File and diagonal
+tables come from a generalized builder that maps the walk through each
+line's ``line_to_board`` table; diagonal lines are 1 to 8 squares long.
+``build_file_attacks`` derives the file table a second way, reflecting
+the rank entries across the a8-h1 line through ``RANK_TO_FILE``, the
+``line_to_board`` table of the h file; the tests check the built file
+table against it.
 """
 
 from __future__ import annotations
@@ -220,8 +221,9 @@ def build_file_attacks(rank_attacks: AttackTable) -> AttackTable:
 
     Every square's rank entries are projected down to the first rank,
     reflected through RANK_TO_FILE, and shifted to the destination file.
-    Each file's reflected bytes are built once, so its 8 inner dicts share
-    their key and value int objects.  Requires a fully built rank table.
+    ``build_attack_tables`` builds the same table, in the same key order,
+    with the generalized builder; this derivation is the reference it is
+    checked against.  Requires a fully built rank table.
     """
     if not rank_attacks:
         raise ValueError("rank table missing")
@@ -275,8 +277,13 @@ def build_rank_attacks_generalized() -> AttackTable:
 
 
 def build_file_attacks_generalized() -> AttackTable:
-    """File table via the generalized builder; identical to build_file_attacks."""
-    table = build_attack_table(FILE_LINES)
+    """File table via the generalized builder; identical to build_file_attacks, key order included."""
+    return _file_attacks(build_line_attack_bytes())
+
+
+def _file_attacks(walk: LineAttackArrays) -> AttackTable:
+    # Files from h to a, each walked from rank 1: the key order of build_file_attacks.
+    table = _attack_table(FILE_LINES[::-1], walk)
     del table[0]
     return table
 
@@ -295,10 +302,9 @@ class AttackTables:
 def build_attack_tables() -> AttackTables:
     """Build all four tables and the masks from one first-rank walk (startup cost only; see store)."""
     walk = build_line_attack_bytes()
-    rank_attacks = _rank_attacks(walk)
     return AttackTables(
-        rank_attacks=rank_attacks,
-        file_attacks=build_file_attacks(rank_attacks),
+        rank_attacks=_rank_attacks(walk),
+        file_attacks=_file_attacks(walk),
         diag_attacks_ne=_attack_table(NE_DIAGONALS, walk),
         diag_attacks_nw=_attack_table(NW_DIAGONALS, walk),
         masks=build_masks(),

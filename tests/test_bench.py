@@ -11,7 +11,6 @@ from chesslut.bench import (
     precompute_boards,
     run_bench,
 )
-from chesslut.bitboard import popcount
 from chesslut.corpus import generate_corpus, write_corpus
 from chesslut.position import STARTING_FEN, startpos
 from chesslut.rotated import make_rotated_state
@@ -99,10 +98,10 @@ def test_precompute_preserves_popcount_and_length(rotation):
     boards = precompute_boards(corpus, maps)
     assert len(boards) == 3
     for position, state in boards:
-        assert popcount(state.occ) == 32
-        assert popcount(state.occ90) == 32
-        assert popcount(state.occ45_ne) == 32
-        assert popcount(state.occ45_nw) == 32
+        assert state.occ.bit_count() == 32
+        assert state.occ90.bit_count() == 32
+        assert state.occ45_ne.bit_count() == 32
+        assert state.occ45_nw.bit_count() == 32
         assert state == make_rotated_state(position.occupied(), maps)
 
 
@@ -124,11 +123,26 @@ def test_run_bench_reports_identical_counts(corpus_file, attack_tables):
     assert report.ratio() == pytest.approx(rotated.total_seconds / direct.total_seconds)
 
 
-def test_run_bench_single_backend(corpus_file, attack_tables):
+@pytest.mark.parametrize("backend", ["direct", "rotated"])
+def test_run_bench_single_backend(corpus_file, attack_tables, backend):
+    config = BenchConfig(corpus_path=corpus_file, backends=(backend,), repetitions=1, warmup=0)
+    report = run_bench(config, tables=attack_tables)
+    assert [t.backend for t in report.timings] == [backend]
+    assert report.ratio() is None
+
+
+def test_run_bench_direct_only_rotates_nothing(corpus_file, attack_tables, monkeypatch):
+    # The direct backend's context is the occupancy: no rotation maps, no rotated board.
+    import chesslut.bench as bench_module
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rotation work for the direct backend")
+
+    monkeypatch.setattr(bench_module, "build_rotation_maps", forbidden)
+    monkeypatch.setattr(bench_module, "make_rotated_state", forbidden)
     config = BenchConfig(corpus_path=corpus_file, backends=("direct",), repetitions=1, warmup=0)
     report = run_bench(config, tables=attack_tables)
-    assert [t.backend for t in report.timings] == ["direct"]
-    assert report.ratio() is None
+    assert report.timing("direct").moves_per_pass > 0
 
 
 def test_run_bench_validates_config(corpus_file):
@@ -153,7 +167,6 @@ def test_timed_region_contains_no_table_construction(
 
     maps, arrays = rotation
     corpus = load_corpus(corpus_file)
-    boards = precompute_boards(corpus, maps)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("table construction inside the timed region")
@@ -169,7 +182,7 @@ def test_timed_region_contains_no_table_construction(
     monkeypatch.setattr(bench_module, "build_attack_tables", forbidden)
 
     for backend in (DirectBackend(attack_tables), RotatedBackend(maps, arrays)):
-        jobs = [(position, backend.context_from_state(state)) for position, state in boards]
+        jobs = [(position, backend.prepare(position.occupied())) for position, _ in corpus]
         elapsed, counts = _timed_passes(backend, jobs, 2)
         assert elapsed > 0
         assert counts[0] == counts[1] > 0

@@ -9,10 +9,8 @@ from chesslut.bitboard import (
     bit_index,
     file_of,
     make_square,
-    popcount,
     pretty,
     rank_of,
-    square_bb,
     square_index,
     square_name,
 )
@@ -27,8 +25,8 @@ def test_square_values_match_convention():
 
 def test_square_bb_round_trip_all_squares():
     for sq in range(64):
-        bb = square_bb(sq)
-        assert popcount(bb) == 1
+        bb = 1 << sq
+        assert bb.bit_count() == 1
         assert bit_index(bb) == sq
 
 

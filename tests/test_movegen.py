@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from reference_engine import _pseudo_moves, ref_legal_moves, ref_make, ref_move_uci, ref_parse_fen, ref_perft
 
 from chesslut import movegen
-from chesslut.bitboard import FULL_BOARD, popcount, square_index
+from chesslut.bitboard import FULL_BOARD, square_index
 from chesslut.corpus import generate_corpus, write_corpus
 from chesslut.movegen import (
     CAPTURE,
@@ -85,11 +85,11 @@ def test_knight_corner_geometry():
 
 
 def test_king_e4_has_eight_neighbors():
-    assert popcount(KING_ATTACKS[square_index("e4")]) == 8
+    assert KING_ATTACKS[square_index("e4")].bit_count() == 8
 
 
 def test_knight_d4_has_eight_targets():
-    assert popcount(KNIGHT_ATTACKS[square_index("d4")]) == 8
+    assert KNIGHT_ATTACKS[square_index("d4")].bit_count() == 8
 
 
 # -- generation basics --------------------------------------------------------
@@ -165,8 +165,8 @@ def test_ep_capture_removes_captured_pawn(direct_backend):
     move = next(m for m in generate_legal(pos, direct_backend) if m.kind == EP_CAPTURE)
     assert move.uci() == "e4f3"
     child = make_move(pos, move)
-    assert child.piece_bb(WHITE, PAWN) == 0
-    assert child.piece_bb(BLACK, PAWN) == 1 << square_index("f3")
+    assert child.pieces[WHITE * 6 + PAWN] == 0
+    assert child.pieces[BLACK * 6 + PAWN] == 1 << square_index("f3")
 
 
 def test_castling_moves_king_and_rook(direct_backend):
@@ -174,8 +174,8 @@ def test_castling_moves_king_and_rook(direct_backend):
     move = next(m for m in generate_legal(pos, direct_backend) if m.kind == CASTLE)
     assert move.uci() == "e1g1"
     child = make_move(pos, move)
-    assert child.piece_bb(WHITE, KING).bit_length() - 1 == square_index("g1")
-    assert child.piece_bb(WHITE, ROOK) == 1 << square_index("f1")
+    assert child.pieces[WHITE * 6 + KING].bit_length() - 1 == square_index("g1")
+    assert child.pieces[WHITE * 6 + ROOK] == 1 << square_index("f1")
     assert child.castling == 0
 
 
@@ -223,9 +223,9 @@ def test_castling_rules_for_each_right(
     # On an open board the king castles and the rook lands beside it.
     assert castles(base)
     child = play(castle)
-    assert child.piece_bb(us, KING).bit_length() - 1 == square_index(castle[2:])
-    assert child.piece_bb(us, ROOK) & (1 << square_index(rook_to))
-    assert child.piece_bb(us, ROOK).bit_count() == 2
+    assert child.pieces[us * 6 + KING].bit_length() - 1 == square_index(castle[2:])
+    assert child.pieces[us * 6 + ROOK] & (1 << square_index(rook_to))
+    assert child.pieces[us * 6 + ROOK].bit_count() == 2
     assert child.castling == 0b1111 & ~own_rights
 
     # A piece of either colour on any square between king and rook blocks it.
@@ -252,8 +252,8 @@ def test_promotion_generates_four_pieces(direct_backend):
     assert sorted(m.uci() for m in promos) == ["a7a8b", "a7a8n", "a7a8q", "a7a8r"]
     queen = next(m for m in promos if m.promotion == QUEEN)
     child = make_move(pos, queen)
-    assert child.piece_bb(WHITE, PAWN) == 0
-    assert child.piece_bb(WHITE, QUEEN) == 1 << square_index("a8")
+    assert child.pieces[WHITE * 6 + PAWN] == 0
+    assert child.pieces[WHITE * 6 + QUEEN] == 1 << square_index("a8")
 
 
 def test_capture_promotion(direct_backend):
@@ -262,8 +262,8 @@ def test_capture_promotion(direct_backend):
         m for m in generate_legal(pos, direct_backend) if m.kind == PROMOTION and m.promotion == KNIGHT and m.to_square == square_index("b8")
     )
     child = make_move(pos, move)
-    assert child.piece_bb(BLACK, KNIGHT) == 0
-    assert child.piece_bb(WHITE, KNIGHT) == 1 << square_index("b8")
+    assert child.pieces[BLACK * 6 + KNIGHT] == 0
+    assert child.pieces[WHITE * 6 + KNIGHT] == 1 << square_index("b8")
 
 
 def test_rook_capture_revokes_castling_rights(direct_backend):
@@ -747,10 +747,10 @@ def test_move_tables_fill_each_piece_reach_on_the_empty_board():
     for kind, _, pushes in PAWN_PUSH_TABLES:
         tabled[PAWN][kind] += sum(move is not None for move in pushes)
     assert tabled == reach
-    assert sum(popcount(bb) for bb in KNIGHT_ATTACKS) == 336
-    assert sum(popcount(bb) for bb in KING_ATTACKS) == 420
-    assert sum(popcount(rook_rays(0, sq)) for sq in range(64)) == 896
-    assert sum(popcount(bishop_rays(0, sq)) for sq in range(64)) == 560
+    assert sum(bb.bit_count() for bb in KNIGHT_ATTACKS) == 336
+    assert sum(bb.bit_count() for bb in KING_ATTACKS) == 420
+    assert sum(rook_rays(0, sq).bit_count() for sq in range(64)) == 896
+    assert sum(bishop_rays(0, sq).bit_count() for sq in range(64)) == 560
 
 
 # -- make_move against the reference engine -----------------------------------

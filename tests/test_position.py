@@ -3,7 +3,7 @@ import pickle
 
 import pytest
 
-from chesslut.bitboard import C4, bit_index, popcount, square_index
+from chesslut.bitboard import C4, bit_index, square_index
 from chesslut.movegen import generate_legal, make_move
 from chesslut.position import (
     BISHOP,
@@ -23,13 +23,13 @@ from chesslut.position import (
 
 def test_startpos_layout():
     pos = startpos()
-    assert popcount(pos.occupied()) == 32
+    assert pos.occupied().bit_count() == 32
     assert pos.side_to_move == WHITE
     assert pos.castling == 0b1111
     assert pos.ep_square is None
-    assert popcount(pos.piece_bb(WHITE, PAWN)) == 8
-    assert pos.piece_bb(WHITE, KING).bit_length() - 1 == square_index("e1")
-    assert pos.piece_bb(BLACK, KING).bit_length() - 1 == square_index("e8")
+    assert pos.pieces[WHITE * 6 + PAWN].bit_count() == 8
+    assert pos.pieces[WHITE * 6 + KING].bit_length() - 1 == square_index("e1")
+    assert pos.pieces[BLACK * 6 + KING].bit_length() - 1 == square_index("e8")
 
 
 def test_piece_bitboards_disjoint_at_startpos():
@@ -44,9 +44,9 @@ def test_piece_bitboards_disjoint_at_startpos():
 def test_lone_bishop_fen():
     pos = parse_fen("8/8/8/8/2B5/8/8/8 w - -")
     assert pos.occupied() == C4
-    assert pos.piece_bb(WHITE, BISHOP) == C4
+    assert pos.pieces[WHITE * 6 + BISHOP] == C4
     assert pos.piece_at(bit_index(C4)) == (WHITE, BISHOP)
-    assert pos.piece_bb(WHITE, KING) == 0
+    assert pos.pieces[WHITE * 6 + KING] == 0
 
 
 def test_rank_with_nine_files_rejected():

@@ -6,7 +6,6 @@ from chesslut.bitboard import (
     A2, A8, B3, C4, D4, D5, E6, G1, H1, H2,
     FULL_BOARD,
     bit_index,
-    popcount,
     square_index,
 )
 from chesslut.rays import bishop_rays, queen_rays, rook_rays
@@ -37,7 +36,7 @@ def test_all_maps_are_permutations(rotation):
         assert sorted(mapping) == list(range(64))
         images = {rotate_occupancy(1 << sq, mapping) for sq in range(64)}
         assert len(images) == 64
-        assert all(popcount(image) == 1 for image in images)
+        assert all(image.bit_count() == 1 for image in images)
 
 
 def test_r90_fixed_points_on_mirror_line(rotation):
@@ -88,7 +87,7 @@ def test_rotation_preserves_popcount(rotation):
     for _ in range(200):
         occ = rng.getrandbits(64)
         for mapping in (maps.r90, maps.r45_ne, maps.r45_nw):
-            assert popcount(rotate_occupancy(occ, mapping)) == popcount(occ)
+            assert rotate_occupancy(occ, mapping).bit_count() == occ.bit_count()
 
 
 def test_byte_table_rotation_matches_the_per_bit_reference(rotation):
@@ -110,7 +109,7 @@ def test_each_flip_holds_the_square_in_all_four_boards(rotation):
     maps, _ = rotation
     for sq in range(64):
         flip = maps.flips[sq]
-        assert popcount(flip) == 4
+        assert flip.bit_count() == 4
         assert flip == 1 << sq | 1 << 64 + maps.r90[sq] | 1 << 128 + maps.r45_ne[sq] | 1 << 192 + maps.r45_nw[sq]
 
 
@@ -179,7 +178,7 @@ def test_rook_d4_empty_board(rotation):
     state = make_rotated_state(0, maps)
     attacks = rook_attacks_rotated(state, maps, arrays, bit_index(D4))
     assert attacks == rook_rays(0, bit_index(D4))
-    assert popcount(attacks) == 14
+    assert attacks.bit_count() == 14
 
 
 def test_rook_h1_with_blockers_matches_direct(attack_tables, rotation):

@@ -12,8 +12,6 @@ from chesslut.bitboard import (
     G1, G2, G8,
     H1, H2, H3, H6,
     bit_index,
-    popcount,
-    square_bb,
     square_index,
 )
 from chesslut.rays import bishop_rays, queen_rays, rook_rays
@@ -67,21 +65,21 @@ def test_rank_mask_c4_is_whole_fourth_rank():
 def test_mask_popcounts_and_membership():
     masks = build_masks()
     for sq in range(64):
-        own = square_bb(sq)
+        own = 1 << sq
         assert masks.rank[sq] & own
         assert masks.file[sq] & own
         assert masks.diag_ne[sq] & own
         assert masks.diag_nw[sq] & own
-        assert popcount(masks.rank[sq]) == 8
-        assert popcount(masks.file[sq]) == 8
-        assert 1 <= popcount(masks.diag_ne[sq]) <= 8
-        assert 1 <= popcount(masks.diag_nw[sq]) <= 8
+        assert masks.rank[sq].bit_count() == 8
+        assert masks.file[sq].bit_count() == 8
+        assert 1 <= masks.diag_ne[sq].bit_count() <= 8
+        assert 1 <= masks.diag_nw[sq].bit_count() <= 8
 
 
 def test_mask_intersections_are_the_square_itself():
     masks = build_masks()
     for sq in range(64):
-        own = square_bb(sq)
+        own = 1 << sq
         assert masks.rank[sq] & masks.file[sq] == own
         assert masks.diag_ne[sq] & masks.diag_nw[sq] == own
 
@@ -200,7 +198,7 @@ def test_line_to_board_drops_bits_past_line_end():
 
 def test_file_attacks_h4_blocked_above():
     table = build_file_attacks(build_rank_attacks())
-    h4 = square_bb(square_index("h4"))
+    h4 = 1 << square_index("h4")
     assert table[h4][H6] == H1 | H2 | H3 | (1 << 32) | H6
 
 
@@ -208,7 +206,7 @@ def test_file_attacks_a1_open_file():
     table = build_file_attacks(build_rank_attacks())
     expected = 0
     for name in ("a2", "a3", "a4", "a5", "a6", "a7", "a8"):
-        expected |= square_bb(square_index(name))
+        expected |= 1 << square_index(name)
     assert table[A1][0] == expected
 
 
@@ -359,7 +357,7 @@ def test_added_blocker_never_extends_attacks(attack_tables):
 def test_rook_d4_empty_board(attack_tables):
     attacks = rook_attacks(attack_tables, 0, bit_index(D4))
     assert attacks == rook_rays(0, bit_index(D4))
-    assert popcount(attacks) == 14
+    assert attacks.bit_count() == 14
 
 
 def test_rook_h1_with_blockers(attack_tables):
@@ -369,20 +367,20 @@ def test_rook_h1_with_blockers(attack_tables):
 def test_rook_own_square_never_blocks(attack_tables):
     attacks = rook_attacks(attack_tables, A8, bit_index(A8))
     assert attacks == rook_rays(0, bit_index(A8))
-    assert popcount(attacks) == 14
+    assert attacks.bit_count() == 14
 
 
 def test_bishop_c4_empty_board(attack_tables):
     expected = (A2 | B3 | D5 | E6 | F7 | G8) | (F1 | E2 | D3 | B5 | A6)
     attacks = bishop_attacks(attack_tables, 0, bit_index(C4))
     assert attacks == expected
-    assert popcount(attacks) == 11
+    assert attacks.bit_count() == 11
 
 
 def test_bishop_h1_empty_board(attack_tables):
     attacks = bishop_attacks(attack_tables, 0, bit_index(H1))
     assert attacks == bishop_rays(0, bit_index(H1))
-    assert popcount(attacks) == 7
+    assert attacks.bit_count() == 7
 
 
 def test_bishop_c4_blocked_at_e6(attack_tables):
@@ -391,7 +389,7 @@ def test_bishop_c4_blocked_at_e6(attack_tables):
 
 
 def test_queen_d4_empty_board(attack_tables):
-    assert popcount(queen_attacks(attack_tables, 0, bit_index(D4))) == 27
+    assert queen_attacks(attack_tables, 0, bit_index(D4)).bit_count() == 27
 
 
 def test_queen_h1_full_board(attack_tables):
