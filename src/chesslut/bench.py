@@ -1,11 +1,12 @@
 """Benchmark harness: time move generation per backend over a corpus.
 
-Each selected backend builds only what it reads (the direct backend its
-tables, the rotated one its rotation maps) and makes every corpus
-position's context once with ``prepare``, so the timed region contains
-nothing but repeated full generation passes on a monotonic wall clock.
-Table and map construction, context making, corpus parsing and report
-emission all happen outside it.
+Once the configuration is checked and the corpus read, each selected
+backend builds only what it reads (the direct backend its tables, the
+rotated one its rotation maps) and makes every corpus position's context
+once with ``prepare``, so the timed region contains nothing but repeated
+full generation passes on a monotonic wall clock.  Table and map
+construction, context making, corpus parsing and report emission all
+happen outside it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 from .movegen import AttackBackend, DirectBackend, RotatedBackend, generate_pseudo_legal
 from .position import FenError, Position, parse_epd_line
 from .rotated import RotatedState, build_line_attack_bytes, build_rotation_maps, make_rotated_state
-from .tables import AttackTables, build_attack_tables
+from .tables import build_attack_tables
 
 BACKEND_NAMES = ("direct", "rotated")
 _BACKEND_TITLES = {"direct": "Direct Lookup", "rotated": "Rotated Bitboards"}
@@ -121,16 +122,15 @@ def _timed_passes(
 
 
 def describe_environment() -> str:
-    return " ".join(
-        (platform.system(), platform.release(), platform.machine(), "CPython", platform.python_version())
-    )
+    uname = platform.uname()
+    return f"{uname.system} {uname.release} {uname.machine} {platform.python_implementation()} {platform.python_version()}"
 
 
-def run_bench(config: BenchConfig, tables: AttackTables | None = None) -> BenchReport:
+def run_bench(config: BenchConfig) -> BenchReport:
     """Time each selected backend over the corpus, building only what it reads.
 
-    The direct backend serves from *tables*, built here when None; the
-    rotated backend reads no tables and builds its own rotation maps.
+    The configuration is checked and the corpus read first; then the direct
+    backend builds its tables and the rotated one its rotation maps.
     """
     if config.repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -147,7 +147,7 @@ def run_bench(config: BenchConfig, tables: AttackTables | None = None) -> BenchR
     timings = []
     for name in config.backends:
         if name == "direct":
-            backend: AttackBackend = DirectBackend(build_attack_tables() if tables is None else tables)
+            backend: AttackBackend = DirectBackend(build_attack_tables())
         else:
             backend = RotatedBackend(build_rotation_maps(), build_line_attack_bytes())
         jobs = [(position, backend.prepare(position.occupied())) for position, _ in corpus]

@@ -23,22 +23,6 @@ from .store import TableLoadError, load_tables, save_tables
 from .tables import AttackTables, build_attack_tables
 
 
-def _rotated_with_tables(args: argparse.Namespace) -> bool:
-    """True, after printing the error, when --tables comes with --backend rotated, which reads no tables."""
-    if args.tables and args.backend == "rotated":
-        print("error: --tables serves only the direct backend, not --backend rotated", file=sys.stderr)
-        return True
-    return False
-
-
-def _load_or_build_tables(path: str | None) -> AttackTables:
-    if path:
-        print(f"loading tables from {path}", file=sys.stderr)
-        return load_tables(path)
-    print("building tables", file=sys.stderr)
-    return build_attack_tables()
-
-
 def _table_summary(tables: AttackTables) -> str:
     lines = []
     for label, table in (
@@ -71,13 +55,11 @@ def cmd_perft(args: argparse.Namespace) -> int:
     if args.depth < 0 and not args.divide:  # perft_divide names its own limit
         print("error: depth must be >= 0", file=sys.stderr)
         return 1
-    if _rotated_with_tables(args):
-        return 1
     position = parse_fen(args.fen)
     if args.backend == "rotated":
         backend = RotatedBackend(build_rotation_maps(), build_line_attack_bytes())
     else:
-        backend = DirectBackend(_load_or_build_tables(args.tables))
+        backend = DirectBackend(build_attack_tables())
     start = time.perf_counter()
     if args.divide:
         divide = perft_divide(position, args.depth, backend)
@@ -93,8 +75,6 @@ def cmd_perft(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if _rotated_with_tables(args):
-        return 1
     backends = ("direct", "rotated") if args.backend == "both" else (args.backend,)
     config = BenchConfig(
         corpus_path=args.corpus,
@@ -103,7 +83,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         warmup=args.warmup,
         strict=args.strict,
     )
-    report = run_bench(config, _load_or_build_tables(args.tables) if "direct" in backends else None)
+    report = run_bench(config)
     print(f"benchmarked {report.corpus_size} positions x {report.repetitions} reps", file=sys.stderr)
     print(emit_report(report, args.format), end="")
     return 0
@@ -112,7 +92,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
-    direct_backend = DirectBackend(_load_or_build_tables(args.tables))
+    if args.tables:
+        print(f"loading tables from {args.tables}", file=sys.stderr)
+    direct_backend = DirectBackend(load_tables(args.tables) if args.tables else build_attack_tables())
     rotated_backend = RotatedBackend(build_rotation_maps(), build_line_attack_bytes())
     rng = random.Random(args.seed)
 
@@ -169,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_perft.add_argument("--fen", default=STARTING_FEN)
     p_perft.add_argument("--depth", type=int, required=True)
     p_perft.add_argument("--backend", choices=("direct", "rotated"), default="direct")
-    p_perft.add_argument("--tables", default=None, help="load saved tables instead of building (direct backend only)")
     p_perft.add_argument("--divide", action="store_true", help="print each root move's count, then the total")
     p_perft.set_defaults(func=cmd_perft)
 
@@ -179,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--reps", type=int, default=10)
     p_bench.add_argument("--warmup", type=int, default=2)
     p_bench.add_argument("--format", choices=("text", "csv", "markdown"), default="text")
-    p_bench.add_argument("--tables", default=None, help="load saved tables instead of building (direct backend only)")
     p_bench.add_argument("--strict", action="store_true", help="fail on malformed corpus lines")
     p_bench.set_defaults(func=cmd_bench)
 

@@ -555,16 +555,14 @@ def make_move(position: Position, move: int) -> Position:
     return _new_tuple(Position, (tuple(pieces), them, castling, ep, occupancy))
 
 
-def in_check(position: Position, color: int, backend: AttackBackend, context: Any = None) -> bool:
+def in_check(position: Position, color: int, backend: AttackBackend, context: Any) -> bool:
     """True if *color*'s king is attacked; a side without a king is never in check.
 
-    *context* is the backend's context for *position*; omitted, it is built from scratch.
+    *context* is the backend's context for *position*.
     """
     king = position.pieces[color * 6 + KING]
     if not king:
         return False
-    if context is None:
-        context = backend.prepare(position.occupied())
     return is_square_attacked(position, king.bit_length() - 1, 1 - color, backend, context)
 
 

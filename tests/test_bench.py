@@ -5,6 +5,7 @@ from chesslut.bench import (
     BenchReport,
     CorpusError,
     _timed_passes,
+    describe_environment,
     emit_report,
     load_corpus,
     parse_csv_report,
@@ -108,9 +109,9 @@ def test_precompute_preserves_popcount_and_length(rotation):
 # -- run_bench ----------------------------------------------------------------
 
 
-def test_run_bench_reports_identical_counts(corpus_file, attack_tables):
+def test_run_bench_reports_identical_counts(corpus_file):
     config = BenchConfig(corpus_path=corpus_file, repetitions=3, warmup=1)
-    report = run_bench(config, tables=attack_tables)
+    report = run_bench(config)
     assert report.corpus_size == 25
     assert report.repetitions == 3
     direct = report.timing("direct")
@@ -124,14 +125,14 @@ def test_run_bench_reports_identical_counts(corpus_file, attack_tables):
 
 
 @pytest.mark.parametrize("backend", ["direct", "rotated"])
-def test_run_bench_single_backend(corpus_file, attack_tables, backend):
+def test_run_bench_single_backend(corpus_file, backend):
     config = BenchConfig(corpus_path=corpus_file, backends=(backend,), repetitions=1, warmup=0)
-    report = run_bench(config, tables=attack_tables)
+    report = run_bench(config)
     assert [t.backend for t in report.timings] == [backend]
     assert report.ratio() is None
 
 
-def test_run_bench_direct_only_rotates_nothing(corpus_file, attack_tables, monkeypatch):
+def test_run_bench_direct_only_rotates_nothing(corpus_file, monkeypatch):
     # The direct backend's context is the occupancy: no rotation maps, no rotated board.
     import chesslut.bench as bench_module
 
@@ -141,7 +142,7 @@ def test_run_bench_direct_only_rotates_nothing(corpus_file, attack_tables, monke
     monkeypatch.setattr(bench_module, "build_rotation_maps", forbidden)
     monkeypatch.setattr(bench_module, "make_rotated_state", forbidden)
     config = BenchConfig(corpus_path=corpus_file, backends=("direct",), repetitions=1, warmup=0)
-    report = run_bench(config, tables=attack_tables)
+    report = run_bench(config)
     assert report.timing("direct").moves_per_pass > 0
 
 
@@ -203,7 +204,7 @@ def test_run_bench_builds_tables_exactly_once(corpus_file, monkeypatch):
     assert len(calls) == 1
 
 
-def test_generation_call_count_is_reps_times_corpus(corpus_file, attack_tables, monkeypatch):
+def test_generation_call_count_is_reps_times_corpus(corpus_file, monkeypatch):
     import chesslut.bench as bench_module
     from chesslut.movegen import generate_pseudo_legal as real_generate
 
@@ -215,22 +216,23 @@ def test_generation_call_count_is_reps_times_corpus(corpus_file, attack_tables, 
 
     monkeypatch.setattr(bench_module, "generate_pseudo_legal", counting_generate)
     run_bench(
-        BenchConfig(corpus_path=corpus_file, backends=("direct",), repetitions=4, warmup=0),
-        tables=attack_tables,
+        BenchConfig(corpus_path=corpus_file, backends=("direct",), repetitions=4, warmup=0)
     )
     assert calls["n"] == 4 * 25
 
 
-def test_counts_stable_across_repetitions(corpus_file, attack_tables):
-    one = run_bench(
-        BenchConfig(corpus_path=corpus_file, backends=("direct",), repetitions=1, warmup=0),
-        tables=attack_tables,
-    )
-    five = run_bench(
-        BenchConfig(corpus_path=corpus_file, backends=("direct",), repetitions=5, warmup=0),
-        tables=attack_tables,
-    )
+def test_counts_stable_across_repetitions(corpus_file):
+    one = run_bench(BenchConfig(corpus_path=corpus_file, backends=("direct",), repetitions=1, warmup=0))
+    five = run_bench(BenchConfig(corpus_path=corpus_file, backends=("direct",), repetitions=5, warmup=0))
     assert one.timing("direct").moves_per_pass == five.timing("direct").moves_per_pass
+
+
+def test_environment_names_the_running_interpreter(monkeypatch):
+    import platform
+
+    monkeypatch.setattr(platform, "python_implementation", lambda: "PyPy")
+    assert "PyPy" in describe_environment()
+    assert "CPython" not in describe_environment()
 
 
 # -- report emission ----------------------------------------------------------
@@ -276,10 +278,8 @@ def test_csv_parse_rejects_rows_that_disagree(column):
         parse_csv_report(header + first + ",".join(fields) + "\n")
 
 
-def test_csv_round_trip_on_real_run(corpus_file, attack_tables):
-    report = run_bench(
-        BenchConfig(corpus_path=corpus_file, repetitions=1, warmup=0), tables=attack_tables
-    )
+def test_csv_round_trip_on_real_run(corpus_file):
+    report = run_bench(BenchConfig(corpus_path=corpus_file, repetitions=1, warmup=0))
     assert parse_csv_report(emit_report(report, "csv")) == report
 
 

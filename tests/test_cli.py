@@ -45,15 +45,6 @@ def test_perft_rotated_backend(capsys):
     assert capsys.readouterr().out.strip() == "400"
 
 
-def test_perft_rotated_backend_rejects_saved_tables(tmp_path, capsys):
-    # The rotated backend reads no tables, so a --tables path would be silently ignored.
-    path = tmp_path / "missing.bin"
-    assert main(["perft", "--depth", "1", "--backend", "rotated", "--tables", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert "--tables serves only the direct backend" in captured.err
-    assert captured.out == ""
-
-
 def test_perft_with_fen(capsys):
     assert main(["perft", "--depth", "1", "--fen", "8/8/8/8/2B5/8/8/8 w - -"]) == 0
     assert capsys.readouterr().out.strip() == "11"
@@ -155,42 +146,29 @@ def test_bench_strict_rejects_bad_lines(tmp_path, capsys):
     assert "line 1" in err
 
 
-def test_bench_saved_tables_roundtrip(small_corpus, tmp_path, capsys):
-    path = tmp_path / "tables.bin"
-    assert main(["tables", "save", str(path)]) == 0
-    capsys.readouterr()
-    code = main(
-        ["bench", "--corpus", str(small_corpus), "--reps", "1", "--warmup", "0", "--tables", str(path)]
-    )
-    assert code == 0
-
-
-def test_bench_with_saved_tables_loads_them_instead_of_building(small_corpus, tmp_path, capsys, monkeypatch):
+def test_bench_checks_its_input_before_building_tables(small_corpus, tmp_path, capsys, monkeypatch):
     import chesslut.bench as bench_module
     import chesslut.cli as cli_module
 
-    path = tmp_path / "tables.bin"
-    assert main(["tables", "save", str(path)]) == 0
-    capsys.readouterr()
-
     def no_build():
-        pytest.fail("bench built tables although --tables names a file")
+        pytest.fail("bench built tables before checking its configuration and corpus")
 
     monkeypatch.setattr(bench_module, "build_attack_tables", no_build)
     monkeypatch.setattr(cli_module, "build_attack_tables", no_build)
-    args = ["bench", "--corpus", str(small_corpus), "--reps", "1", "--warmup", "0", "--tables", str(path)]
-    assert main(args) == 0
-    assert f"loading tables from {path}" in capsys.readouterr().err
+    assert main(["bench", "--corpus", str(small_corpus), "--reps", "0", "--backend", "direct"]) == 1
+    assert "repetitions must be >= 1" in capsys.readouterr().err
+    missing = tmp_path / "missing.epd"
+    assert main(["bench", "--corpus", str(missing), "--backend", "direct"]) == 1
+    assert "cannot read corpus" in capsys.readouterr().err
 
 
-def test_bench_rotated_backend_rejects_saved_tables(small_corpus, tmp_path, capsys):
-    # The rotated backend reads no tables, so a --tables path would be silently ignored.
-    path = tmp_path / "missing.bin"
-    args = ["bench", "--corpus", str(small_corpus), "--backend", "rotated", "--tables", str(path)]
-    assert main(args) == 1
-    captured = capsys.readouterr()
-    assert "--tables serves only the direct backend" in captured.err
-    assert captured.out == ""
+def test_perft_and_bench_take_no_tables_option(tmp_path, capsys):
+    path = str(tmp_path / "t.bin")
+    for args in (["perft", "--depth", "1", "--tables", path], ["bench", "--corpus", "c.epd", "--tables", path]):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tables" in capsys.readouterr().err
 
 
 def test_bench_rotated_backend_builds_no_tables(small_corpus, capsys, monkeypatch):

@@ -291,8 +291,8 @@ def test_random_playout_round_trips_through_fen(direct_backend):
 
 def test_in_check_detection(direct_backend):
     pos = parse_fen("4k3/8/8/8/8/8/4R3/4K3 b - -")
-    assert in_check(pos, BLACK, direct_backend)
-    assert not in_check(pos, WHITE, direct_backend)
+    assert in_check(pos, BLACK, direct_backend, pos.occupied())
+    assert not in_check(pos, WHITE, direct_backend, pos.occupied())
 
 
 # -- slider queries of the backends -------------------------------------------
