@@ -50,7 +50,9 @@ def make_square(file_index: int, rank_index: int) -> Square:
 
 
 def square_name(square: Square) -> str:
-    """Algebraic name, e.g. 0 -> 'h1', 63 -> 'a8'."""
+    """Algebraic name, e.g. 0 -> 'h1', 63 -> 'a8'.  A square outside 0..63 raises ValueError."""
+    if not 0 <= square < 64:
+        raise off_board(square)
     return chr(ord("a") + file_of(square)) + str(rank_of(square) + 1)
 
 

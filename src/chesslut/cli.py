@@ -92,9 +92,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
-    if args.tables:
-        print(f"loading tables from {args.tables}", file=sys.stderr)
-    direct_backend = DirectBackend(load_tables(args.tables) if args.tables else build_attack_tables())
+    direct_backend = DirectBackend(build_attack_tables())
     rotated_backend = RotatedBackend(build_rotation_maps(), build_line_attack_bytes())
     rng = random.Random(args.seed)
 
@@ -166,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="spot-check both search backends against the ray oracle")
     p_verify.add_argument("--trials", type=int, default=1000)
     p_verify.add_argument("--seed", type=int, default=1)
-    p_verify.add_argument("--tables", default=None, help="load saved tables into the direct backend")
     p_verify.set_defaults(func=cmd_verify)
 
     p_corpus = sub.add_parser("corpus", help="corpus utilities")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, NamedTuple
 
 from .bitboard import (
-    KING_ATTACKS, KNIGHT_ATTACKS, PAWN_ATTACKS, Bitboard, Square, make_square, square_index, square_name,
+    KING_ATTACKS, KNIGHT_ATTACKS, PAWN_ATTACKS, Bitboard, Square, make_square, off_board, square_index, square_name,
 )
 from .rays import bishop_rays, rook_rays
 
@@ -111,7 +111,9 @@ class Position(_PositionFields):
         return white | black
 
     def piece_at(self, square: Square) -> tuple[int, int] | None:
-        """(color, piece_type) on *square*, or None."""
+        """(color, piece_type) on *square*, or None.  A square outside 0..63 raises ValueError."""
+        if not 0 <= square < 64:
+            raise off_board(square)
         bb = 1 << square
         for idx, board in enumerate(self.pieces):
             if board & bb:

@@ -15,34 +15,34 @@ dict entries and to check them.  The format is fixed width, little endian:
 
 Loads are verified against magic, version and checksum and fail with an
 error naming the byte offset of the problem.  A file that passes the
-checksum is then checked for structure: the masks must equal freshly built
-ones, every table must have its exact cardinality, and a seeded spot check
-compares each table against the ray oracle; a failure names the table.
+checksum is then checked entry by entry: the masks must equal freshly built
+ones, and each mover's entries must equal what the generalized builder
+makes for that mover's line, built one line at a time so that no second
+set of tables is held.  The diagonal tables must also hold their
+[0][0] = 0 base entry, and no table may hold any other key.  A failure
+names the table and, for a wrong mover, its square.
 """
 
 from __future__ import annotations
 
-import random
 import struct
 import zlib
 from pathlib import Path
 from typing import BinaryIO
 
 from .bitboard import square_name
-from .rays import bishop_rays, rook_rays
-from .tables import AttackTable, AttackTables, MaskTables, build_masks
+from .tables import (
+    FILE_LINES, NE_DIAGONALS, NW_DIAGONALS, RANK_LINES, AttackTable, AttackTables, MaskTables, _attack_table,
+    build_line_attack_bytes, build_masks,
+)
 
 MAGIC = b"SLIDELUT"
 VERSION = 1
 
 _TABLE_FIELDS = ("rank_attacks", "file_attacks", "diag_attacks_ne", "diag_attacks_nw")
 _MASK_FIELDS = ("rank", "file", "diag_ne", "diag_nw")
-# (table, its mask, the oracle that walks its lines), in _TABLE_FIELDS order.
-_TABLE_LINES = tuple(
-    zip(_TABLE_FIELDS, _MASK_FIELDS, (rook_rays, rook_rays, bishop_rays, bishop_rays))
-)
-_SPOT_CHECK_SEED = 0
-_SPOT_CHECK_QUERIES = 256
+# (table, the lines the generalized builder walks for it), in _TABLE_FIELDS order.
+_TABLE_LINES = tuple(zip(_TABLE_FIELDS, (RANK_LINES, FILE_LINES, NE_DIAGONALS, NW_DIAGONALS)))
 _TRIPLES_PER_READ = 4096
 
 
@@ -136,33 +136,23 @@ def load_tables(source: BinaryIO | str | Path) -> AttackTables:
 
 
 def _check_structure(tables: AttackTables) -> None:
-    """Reject a well-formed file whose tables could not serve every query correctly."""
+    """Reject a well-formed file whose tables differ from a fresh build in any entry."""
     expected_masks = build_masks()
     for field in _MASK_FIELDS:
         if getattr(tables.masks, field) != getattr(expected_masks, field):
             raise TableLoadError(f"bad structure in masks.{field}: not the {field} line masks")
-    for field in ("rank_attacks", "file_attacks"):
+    walk = build_line_attack_bytes()
+    for field, lines in _TABLE_LINES:
         table: AttackTable = getattr(tables, field)
-        if len(table) != 64 or any(len(entries) != 256 for entries in table.values()):
-            raise TableLoadError(f"bad structure in {field}: expected 64 movers x 256 entries")
-    for field in ("diag_attacks_ne", "diag_attacks_nw"):
-        table = getattr(tables, field)
-        if len(table) != 65 or table.get(0) != {0: 0} or sum(map(len, table.values())) != 5125:
+        base = field.startswith("diag")  # only the diagonal tables keep the [0][0] = 0 base entry
+        if len(table) != 64 + base or base and table.get(0) != {0: 0}:
             raise TableLoadError(
-                f"bad structure in {field}: expected 64 movers with 5124 entries "
-                "plus the [0][0] = 0 base entry"
+                f"bad structure in {field}: {len(table)} keys, expected the 64 movers"
+                + (" plus the [0][0] = 0 base entry" if base else "")
             )
-    rng = random.Random(_SPOT_CHECK_SEED)
-    for query in range(_SPOT_CHECK_QUERIES):
-        occupied = rng.getrandbits(64)
-        if query % 2:
-            occupied &= rng.getrandbits(64)  # mix in sparser boards
-        square = query % 64  # every square, four times over
-        for field, mask_field, rays in _TABLE_LINES:
-            mask = getattr(tables.masks, mask_field)[square]
-            found = getattr(tables, field).get(1 << square, {}).get(occupied & mask)
-            if found != rays(occupied, square) & mask:
-                raise TableLoadError(
-                    f"bad structure in {field}: wrong attacks from {square_name(square)} "
-                    f"with occupancy {occupied & mask:#x}"
-                )
+        for line in lines:
+            for mover, entries in _attack_table((line,), walk).items():
+                if mover and table.get(mover) != entries:
+                    raise TableLoadError(
+                        f"bad structure in {field}: wrong attacks from {square_name(mover.bit_length() - 1)}"
+                    )

@@ -38,6 +38,12 @@ def test_square_names_round_trip():
     assert square_name(63) == "a8"
 
 
+@pytest.mark.parametrize("square", [-1, 64, 65, -64])
+def test_square_name_rejects_off_board_squares(square):
+    with pytest.raises(ValueError, match=f"square {square} is off the board"):
+        square_name(square)
+
+
 def test_square_index_rejects_garbage():
     for bad in ("", "e", "i4", "a9", "e44"):
         with pytest.raises(ValueError):

@@ -3,6 +3,8 @@ import pytest
 from chesslut.cli import main
 from chesslut.movegen import DirectBackend, RotatedBackend
 from chesslut.corpus import generate_corpus, write_corpus
+from chesslut.store import save_tables
+from chesslut.tables import build_attack_tables
 
 
 @pytest.fixture(scope="module")
@@ -191,14 +193,18 @@ def test_verify_reports_zero_mismatches(capsys):
     assert "60 trials, 0 mismatches" in capsys.readouterr().out
 
 
-def test_verify_reads_saved_tables_into_the_direct_backend(tmp_path, capsys):
-    path = tmp_path / "t.bin"
-    assert main(["tables", "save", str(path)]) == 0
-    capsys.readouterr()
-    assert main(["verify", "--trials", "20", "--tables", str(path)]) == 0
-    captured = capsys.readouterr()
-    assert f"loading tables from {path}" in captured.err
-    assert "20 trials, 0 mismatches" in captured.out
+def test_tables_load_refuses_a_one_entry_edit_and_verify_takes_no_tables_option(tmp_path, capsys):
+    # The h1 rook's rank entry for occupancy {h1} loses a1; save_tables writes a valid crc32.
+    tables = build_attack_tables()
+    tables.rank_attacks[1][1] = 0x7E
+    path = str(tmp_path / "bad.bin")
+    save_tables(tables, path)
+    assert main(["tables", "load", path]) == 1
+    assert "error: bad structure in rank_attacks: wrong attacks from h1" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--tables", path])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tables" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("backend", [DirectBackend, RotatedBackend])

@@ -49,6 +49,12 @@ def test_lone_bishop_fen():
     assert pos.pieces[WHITE * 6 + KING] == 0
 
 
+@pytest.mark.parametrize("square", [-1, 64, 65, -64])
+def test_piece_at_rejects_off_board_squares(square):
+    with pytest.raises(ValueError, match=f"square {square} is off the board"):
+        startpos().piece_at(square)
+
+
 def test_rank_with_nine_files_rejected():
     for fen in (
         "9/8/8/8/8/8/8/8 w - -",

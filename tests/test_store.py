@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from chesslut.bitboard import A1, A3, B1, B2, E4, H1, H8
 from chesslut.store import MAGIC, TableLoadError, load_tables, save_tables
 from chesslut.tables import build_attack_tables
 
@@ -178,6 +179,34 @@ def test_checksum_valid_but_wrong_mask_rejected(attack_tables):
     masks = dataclasses.replace(attack_tables.masks, file=tuple(file_masks))
     data = saved_bytes(dataclasses.replace(attack_tables, masks=masks))
     with pytest.raises(TableLoadError, match="bad structure in masks.file"):
+        load_tables(io.BytesIO(data))
+
+
+def _drop_farthest(mover, dropped):
+    """One-entry edit: at occupancy = the mover's own bit, drop *dropped*, a farthest attacked square."""
+
+    def mutate(table):
+        assert table[mover][mover] & dropped
+        table[mover][mover] &= ~dropped
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "field, mutate, message",
+    [
+        pytest.param("rank_attacks", _drop_farthest(H1, A1), "wrong attacks from h1", id="rank-h1"),
+        pytest.param("file_attacks", _drop_farthest(H1, H8), "wrong attacks from h1", id="file-h1"),
+        pytest.param("diag_attacks_nw", _drop_farthest(B2, A3), "wrong attacks from b2", id="nw-b2"),
+        pytest.param("diag_attacks_ne", _drop_farthest(E4, B1), "wrong attacks from e4", id="ne-e4"),
+        pytest.param("rank_attacks", lambda table: table.setdefault(0, {0: 0}), "65 keys", id="rank-base-entry-added"),
+    ],
+)
+def test_checksum_valid_table_with_one_wrong_entry_rejected(attack_tables, field, mutate, message):
+    table = {piece: dict(entries) for piece, entries in getattr(attack_tables, field).items()}
+    mutate(table)
+    data = saved_bytes(dataclasses.replace(attack_tables, **{field: table}))
+    with pytest.raises(TableLoadError, match=f"^bad structure in {field}: {message}"):
         load_tables(io.BytesIO(data))
 
 
