@@ -46,6 +46,9 @@ def rank_of(square: Square) -> int:
 
 
 def make_square(file_index: int, rank_index: int) -> Square:
+    """Square of a file index 0-7 (a-h) and a rank index 0-7; an index outside 0..7 raises ValueError."""
+    if not (0 <= file_index <= 7 and 0 <= rank_index <= 7):
+        raise ValueError(f"file index {file_index!r}, rank index {rank_index!r}: expected 0..7 each")
     return 8 * rank_index + (7 - file_index)
 
 

@@ -4,10 +4,13 @@ Deliberately naive: every query steps square by square in coordinate space
 and shares no data with the lookup-table backends, which is what makes it
 usable as an independent oracle.  A ray adds each square it visits and
 stops after adding an occupied square (the blocker is attacked) or at the
-board edge; the origin square itself is never included.
+board edge; the origin square itself is never included.  A square outside
+0..63 raises the off-board error.
 """
 
 from __future__ import annotations
+
+from .bitboard import off_board
 
 Direction = tuple[int, int]  # (file_step, rank_step), not both zero
 
@@ -17,6 +20,8 @@ QUEEN_DIRECTIONS: tuple[Direction, ...] = ROOK_DIRECTIONS + BISHOP_DIRECTIONS
 
 
 def ray_attacks(occupied: int, square: int, directions: tuple[Direction, ...]) -> int:
+    if not 0 <= square < 64:
+        raise off_board(square)
     attacks = 0
     file_index = 7 - (square & 7)
     rank_index = square >> 3

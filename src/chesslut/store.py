@@ -1,9 +1,7 @@
 """Versioned binary persistence for the attack tables.
 
 The paper builds its tables once and serves every query from them; this
-module keeps them in a file.  Loading a file is not a shortcut: in CPython
-it takes longer than building the tables afresh, mostly to decode 43,000
-dict entries and to check them.  The format is fixed width, little endian:
+module keeps them in a file.  The format is fixed width, little endian:
 
     offset 0   magic, 8 bytes (``SLIDELUT``)
     offset 8   format version, u32
@@ -14,35 +12,35 @@ dict entries and to check them.  The format is fixed width, little endian:
     trailer    crc32 of everything before it, u32, the last bytes of the stream
 
 Loads are verified against magic, version and checksum and fail with an
-error naming the byte offset of the problem.  A file that passes the
-checksum is then checked entry by entry: the masks must equal freshly built
-ones, and each mover's entries must equal what the generalized builder
-makes for that mover's line, built one line at a time so that no second
-set of tables is held.  The diagonal tables must also hold their
-[0][0] = 0 base entry, and no table may hold any other key.  A failure
-names the table and, for a wrong mover, its square.
+error naming the byte offset of the problem.  The file must also hold the
+very bytes ``save_tables`` writes for a fresh build: a load builds the
+tables, compares each mover's triples and then each mask block with that
+build's encoding, and returns the built tables.  So in CPython a checked
+load cannot beat a build.  A failure names the table and, for a wrong
+mover, its square; a table whose triple count is not the build's is read
+for its piece keys only, to report the key or entry counts.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
+from collections.abc import Iterator
+from itertools import repeat
 from pathlib import Path
 from typing import BinaryIO
 
 from .bitboard import square_name
-from .tables import (
-    FILE_LINES, NE_DIAGONALS, NW_DIAGONALS, RANK_LINES, AttackTable, AttackTables, MaskTables, _attack_table,
-    build_line_attack_bytes, build_masks,
-)
+from .tables import AttackTable, AttackTables, build_attack_tables
 
 MAGIC = b"SLIDELUT"
 VERSION = 1
 
 _TABLE_FIELDS = ("rank_attacks", "file_attacks", "diag_attacks_ne", "diag_attacks_nw")
 _MASK_FIELDS = ("rank", "file", "diag_ne", "diag_nw")
-# (table, the lines the generalized builder walks for it), in _TABLE_FIELDS order.
-_TABLE_LINES = tuple(zip(_TABLE_FIELDS, (RANK_LINES, FILE_LINES, NE_DIAGONALS, NW_DIAGONALS)))
+_TRIPLE = struct.Struct("<QQQ")
+_COUNT = struct.Struct("<Q")
+_MASKS = struct.Struct("<64Q")
 _TRIPLES_PER_READ = 4096
 
 
@@ -50,12 +48,11 @@ class TableLoadError(ValueError):
     """Raised when a saved table stream cannot be decoded."""
 
 
-def _pack_table(table: AttackTable) -> bytes:
-    chunks = [struct.pack("<Q", sum(len(entries) for entries in table.values()))]
+def _encode_movers(table: AttackTable) -> Iterator[tuple[int, bytes]]:
+    """(piece key, that mover's triples as saved) for each mover, in file order."""
+    pack = _TRIPLE.pack
     for piece_key, entries in table.items():
-        for occ_key, value in entries.items():
-            chunks.append(struct.pack("<QQQ", piece_key, occ_key, value))
-    return b"".join(chunks)
+        yield piece_key, b"".join(map(pack, repeat(piece_key), entries, entries.values()))
 
 
 def save_tables(tables: AttackTables, sink: BinaryIO | str | Path) -> None:
@@ -67,21 +64,23 @@ def save_tables(tables: AttackTables, sink: BinaryIO | str | Path) -> None:
 
     payload = [MAGIC, struct.pack("<I", VERSION)]
     for field in _TABLE_FIELDS:
-        payload.append(_pack_table(getattr(tables, field)))
+        table = getattr(tables, field)
+        payload.append(_COUNT.pack(sum(map(len, table.values()))))
+        payload.extend(block for _, block in _encode_movers(table))
     for field in _MASK_FIELDS:
-        masks = getattr(tables.masks, field)
-        payload.append(struct.pack("<64Q", *masks))
+        payload.append(_MASKS.pack(*getattr(tables.masks, field)))
     body = b"".join(payload)
     sink.write(body)
     sink.write(struct.pack("<I", zlib.crc32(body)))
 
 
 def load_tables(source: BinaryIO | str | Path) -> AttackTables:
-    """Read tables produced by save_tables; bit-exact round trip.
+    """Read a file written by save_tables for built tables, and return built tables.
 
-    The stream is read and decoded a block at a time, so its bytes are never
-    all held at once.  A read that returns fewer bytes than asked for is
-    taken as the end of the stream.
+    The stream is read a mover (at most 6 KB) at a time, so its bytes are
+    never all held at once.  A read that returns fewer bytes than asked for
+    is taken as the end of the stream.  A structural fault is raised only
+    once the checksum and the trailer have passed.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as handle:
@@ -105,21 +104,32 @@ def load_tables(source: BinaryIO | str | Path) -> AttackTables:
     if version != VERSION:
         raise TableLoadError(f"version mismatch at offset 8: got {version}, expected {VERSION}")
 
-    loaded: dict[str, AttackTable] = {}
-    # Equal keys and values share one int object, as in built tables.
-    shared = {}.setdefault
+    built = build_attack_tables()
+    fault = ""
     for field in _TABLE_FIELDS:
-        (count,) = struct.unpack("<Q", read(8))
-        table: AttackTable = {}
-        while count:  # in chunks, so that a corrupt count reads to the end and no further
-            chunk = min(count, _TRIPLES_PER_READ)
-            count -= chunk
-            for piece_key, occ_key, value in struct.iter_unpack("<QQQ", read(24 * chunk)):
-                table.setdefault(piece_key, {})[shared(occ_key, occ_key)] = shared(value, value)
-        loaded[field] = table
+        table = getattr(built, field)
+        (count,) = _COUNT.unpack(read(8))
+        expected = sum(map(len, table.values()))
+        if count == expected:
+            for piece_key, block in _encode_movers(table):
+                if read(len(block)) != block and not fault:
+                    wrong = f"attacks from {square_name(piece_key.bit_length() - 1)}" if piece_key else "base entry"
+                    fault = f"bad structure in {field}: wrong {wrong}"
+            continue
+        keys: set[int] = set()
+        for start in range(0, count, _TRIPLES_PER_READ):  # so that a corrupt count reads to the end, no further
+            triples = _TRIPLE.iter_unpack(read(24 * min(count - start, _TRIPLES_PER_READ)))
+            keys.update(key for key, _, _ in triples)
+        if len(keys) != len(table):
+            base = " plus the [0][0] = 0 base entry" if 0 in table else ""
+            problem = f"{len(keys)} keys, expected the 64 movers{base}"
+        else:
+            problem = f"{count} entries, expected {expected}"
+        fault = fault or f"bad structure in {field}: {problem}"
 
-    data = read(4 * 512)
-    masks = MaskTables(**{field: struct.unpack_from("<64Q", data, 512 * k) for k, field in enumerate(_MASK_FIELDS)})
+    for field in _MASK_FIELDS:
+        if read(_MASKS.size) != _MASKS.pack(*getattr(built.masks, field)):
+            fault = fault or f"bad structure in masks.{field}: not the {field} line masks"
 
     computed, trailer = crc, offset
     (stored,) = struct.unpack("<I", read(4))
@@ -129,30 +139,6 @@ def load_tables(source: BinaryIO | str | Path) -> AttackTables:
         )
     if source.read(1):
         raise TableLoadError(f"trailing data at offset {offset}")
-
-    tables = AttackTables(masks=masks, **loaded)
-    _check_structure(tables)
-    return tables
-
-
-def _check_structure(tables: AttackTables) -> None:
-    """Reject a well-formed file whose tables differ from a fresh build in any entry."""
-    expected_masks = build_masks()
-    for field in _MASK_FIELDS:
-        if getattr(tables.masks, field) != getattr(expected_masks, field):
-            raise TableLoadError(f"bad structure in masks.{field}: not the {field} line masks")
-    walk = build_line_attack_bytes()
-    for field, lines in _TABLE_LINES:
-        table: AttackTable = getattr(tables, field)
-        base = field.startswith("diag")  # only the diagonal tables keep the [0][0] = 0 base entry
-        if len(table) != 64 + base or base and table.get(0) != {0: 0}:
-            raise TableLoadError(
-                f"bad structure in {field}: {len(table)} keys, expected the 64 movers"
-                + (" plus the [0][0] = 0 base entry" if base else "")
-            )
-        for line in lines:
-            for mover, entries in _attack_table((line,), walk).items():
-                if mover and table.get(mover) != entries:
-                    raise TableLoadError(
-                        f"bad structure in {field}: wrong attacks from {square_name(mover.bit_length() - 1)}"
-                    )
+    if fault:
+        raise TableLoadError(fault)
+    return built

@@ -57,6 +57,12 @@ def test_file_rank_consistency():
     assert rank_of(square_index("a8")) == 7
 
 
+@pytest.mark.parametrize("file_index, rank_index", [(-1, 0), (8, 0), (0, -1), (0, 8)])
+def test_make_square_rejects_indices_outside_0_to_7(file_index, rank_index):
+    with pytest.raises(ValueError, match="expected 0..7"):
+        make_square(file_index, rank_index)
+
+
 def test_bit_index_examples():
     assert bit_index(128) == 7  # a1
     assert bit_index(1) == 0  # h1

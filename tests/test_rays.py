@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from chesslut.bitboard import (
     A2, A6, A8, B3, B5, B7, C4, C6, D3, D5, E2, E4, E6, F1, F3, F7, G1, G2, G8, H1, H2, H3,
     bit_index,
@@ -9,6 +11,7 @@ from chesslut.rays import (
     QUEEN_DIRECTIONS,
     ROOK_DIRECTIONS,
     bishop_rays,
+    queen_rays,
     ray_attacks,
     rook_rays,
 )
@@ -72,3 +75,10 @@ def test_monotonicity_under_added_blockers():
         before = ray_attacks(occ, sq, QUEEN_DIRECTIONS)
         after = ray_attacks(occ | extra, sq, QUEEN_DIRECTIONS)
         assert after & ~(before | extra) == 0
+
+
+@pytest.mark.parametrize("oracle", [rook_rays, bishop_rays, queen_rays])
+@pytest.mark.parametrize("square", [-1, 64])
+def test_rays_reject_off_board_squares(oracle, square):
+    with pytest.raises(ValueError, match=f"square {square} is off the board"):
+        oracle(0, square)

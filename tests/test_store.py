@@ -210,6 +210,41 @@ def test_checksum_valid_table_with_one_wrong_entry_rejected(attack_tables, field
         load_tables(io.BytesIO(data))
 
 
+def _reverse_h1(table):
+    table[H1] = dict(reversed(table[H1].items()))
+
+
+def _swap_first_two_movers(table):
+    first, second, *rest = table.items()
+    table.clear()
+    table.update([second, first, *rest])
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        pytest.param(_reverse_h1, id="h1-entries-reversed"),
+        pytest.param(_swap_first_two_movers, id="h1-h2-movers-swapped"),
+    ],
+)
+def test_checksum_valid_file_with_the_right_entries_in_another_order_rejected(attack_tables, mutate):
+    # The same pairs as a build, saved in another order: a file must hold save_tables' bytes for a build.
+    table = {piece: dict(entries) for piece, entries in attack_tables.rank_attacks.items()}
+    mutate(table)
+    assert table == attack_tables.rank_attacks
+    data = saved_bytes(dataclasses.replace(attack_tables, rank_attacks=table))
+    with pytest.raises(TableLoadError, match="^bad structure in rank_attacks: wrong attacks from h1$"):
+        load_tables(io.BytesIO(data))
+
+
+def test_dropped_entry_with_every_key_kept_gives_both_entry_counts(attack_tables):
+    table = {piece: dict(entries) for piece, entries in attack_tables.file_attacks.items()}
+    table[H1].pop(0)
+    data = saved_bytes(dataclasses.replace(attack_tables, file_attacks=table))
+    with pytest.raises(TableLoadError, match="^bad structure in file_attacks: 16383 entries, expected 16384$"):
+        load_tables(io.BytesIO(data))
+
+
 def traced_memory_mb(build):
     """(held after the call, peak during it) in MB, by tracemalloc, the result kept alive."""
     tracemalloc.start()
