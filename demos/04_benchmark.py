@@ -6,7 +6,7 @@ Run:  python demos/04_benchmark.py  (a few seconds)
 import tempfile
 from pathlib import Path
 
-from chesslut import BenchConfig, emit_report, run_bench
+from chesslut.bench import emit_report, run_bench
 from chesslut.corpus import generate_corpus, write_corpus
 
 COUNT = 879
@@ -18,7 +18,7 @@ with tempfile.TemporaryDirectory() as tmp:
     write_corpus(generate_corpus(count=COUNT, seed=1), corpus_path)
 
     print(f"timing {REPS} full generation passes per backend...\n")
-    report = run_bench(BenchConfig(corpus_path=corpus_path, repetitions=REPS, warmup=2))
+    report = run_bench(corpus_path, repetitions=REPS, warmup=2)
 
     print(emit_report(report, "text"))
     print(emit_report(report, "markdown"))

@@ -1,5 +1,6 @@
 """Benchmark harness: time move generation per backend over a corpus.
 
+``BACKENDS`` builds each backend by name, for this harness and the CLI.
 Once the configuration is checked and the corpus read, each selected
 backend builds only what it reads (the direct backend its tables, the
 rotated one its rotation maps) and makes every corpus position's context
@@ -24,21 +25,16 @@ from .position import FenError, Position, parse_epd_line
 from .rotated import RotatedState, build_line_attack_bytes, build_rotation_maps, make_rotated_state
 from .tables import build_attack_tables
 
-BACKEND_NAMES = ("direct", "rotated")
+# Each backend's builder, by name; a run calls only the ones it selects.
+BACKENDS = {
+    "direct": lambda: DirectBackend(build_attack_tables()),
+    "rotated": lambda: RotatedBackend(build_rotation_maps(), build_line_attack_bytes()),
+}
 _BACKEND_TITLES = {"direct": "Direct Lookup", "rotated": "Rotated Bitboards"}
 
 
 class CorpusError(ValueError):
     """Raised for unusable corpus files."""
-
-
-@dataclass(frozen=True)
-class BenchConfig:
-    corpus_path: str | Path
-    backends: tuple[str, ...] = BACKEND_NAMES
-    repetitions: int = 10
-    warmup: int = 2
-    strict: bool = False
 
 
 @dataclass(frozen=True)
@@ -126,42 +122,45 @@ def describe_environment() -> str:
     return f"{uname.system} {uname.release} {uname.machine} {platform.python_implementation()} {platform.python_version()}"
 
 
-def run_bench(config: BenchConfig) -> BenchReport:
+def run_bench(
+    corpus_path: str | Path,
+    backends: tuple[str, ...] = tuple(BACKENDS),
+    repetitions: int = 10,
+    warmup: int = 2,
+    strict: bool = False,
+) -> BenchReport:
     """Time each selected backend over the corpus, building only what it reads.
 
-    The configuration is checked and the corpus read first; then the direct
-    backend builds its tables and the rotated one its rotation maps.
+    The settings are checked and the corpus read first; then each selected
+    backend is built from ``BACKENDS``.
     """
-    if config.repetitions < 1:
+    if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    if config.warmup < 0:
+    if warmup < 0:
         raise ValueError("warmup must be >= 0")
-    if not config.backends:
+    if not backends:
         raise ValueError("at least one backend must be selected")
-    for name in config.backends:
-        if name not in BACKEND_NAMES:
+    for name in backends:
+        if name not in BACKENDS:
             raise ValueError(f"unknown backend {name!r}")
 
-    corpus = load_corpus(config.corpus_path, strict=config.strict)
+    corpus = load_corpus(corpus_path, strict=strict)
 
     timings = []
-    for name in config.backends:
-        if name == "direct":
-            backend: AttackBackend = DirectBackend(build_attack_tables())
-        else:
-            backend = RotatedBackend(build_rotation_maps(), build_line_attack_bytes())
+    for name in backends:
+        backend = BACKENDS[name]()
         jobs = [(position, backend.prepare(position.occupied())) for position, _ in corpus]
-        if config.warmup:
-            _timed_passes(backend, jobs, config.warmup)
-        elapsed, counts = _timed_passes(backend, jobs, config.repetitions)
+        if warmup:
+            _timed_passes(backend, jobs, warmup)
+        elapsed, counts = _timed_passes(backend, jobs, repetitions)
         if len(set(counts)) != 1:
             raise RuntimeError(f"nondeterministic move counts for backend {name}: {counts}")
         timings.append(
             BackendTiming(
                 backend=name,
                 total_seconds=elapsed,
-                mean_pass_seconds=elapsed / config.repetitions,
-                mean_position_seconds=elapsed / (config.repetitions * len(corpus)),
+                mean_pass_seconds=elapsed / repetitions,
+                mean_position_seconds=elapsed / (repetitions * len(corpus)),
                 moves_per_pass=counts[0],
             )
         )
@@ -170,7 +169,7 @@ def run_bench(config: BenchConfig) -> BenchReport:
     if len(move_counts) != 1:
         raise RuntimeError(f"backends disagree on generated moves: {sorted(move_counts)}")
 
-    return BenchReport(describe_environment(), len(corpus), config.repetitions, tuple(timings))
+    return BenchReport(describe_environment(), len(corpus), repetitions, tuple(timings))
 
 
 _CSV_HEADER = ["environment", "corpus_size", "repetitions", *(field.name for field in fields(BackendTiming))]

@@ -12,14 +12,13 @@ import random
 import sys
 import time
 
-from .bench import BenchConfig, CorpusError, emit_report, run_bench
+from .bench import BACKENDS, emit_report, run_bench
 from .bitboard import square_name
 from .corpus import DEFAULT_COUNT, generate_corpus, write_corpus
-from .movegen import DirectBackend, RotatedBackend, perft, perft_divide
-from .position import STARTING_FEN, FenError, parse_fen
+from .movegen import perft, perft_divide
+from .position import STARTING_FEN, parse_fen
 from .rays import bishop_rays, queen_rays, rook_rays
-from .rotated import build_line_attack_bytes, build_rotation_maps
-from .store import TableLoadError, load_tables, save_tables
+from .store import load_tables, save_tables
 from .tables import AttackTables, build_attack_tables
 
 
@@ -56,10 +55,7 @@ def cmd_perft(args: argparse.Namespace) -> int:
         print("error: depth must be >= 0", file=sys.stderr)
         return 1
     position = parse_fen(args.fen)
-    if args.backend == "rotated":
-        backend = RotatedBackend(build_rotation_maps(), build_line_attack_bytes())
-    else:
-        backend = DirectBackend(build_attack_tables())
+    backend = BACKENDS[args.backend]()
     start = time.perf_counter()
     if args.divide:
         divide = perft_divide(position, args.depth, backend)
@@ -75,15 +71,8 @@ def cmd_perft(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    backends = ("direct", "rotated") if args.backend == "both" else (args.backend,)
-    config = BenchConfig(
-        corpus_path=args.corpus,
-        backends=backends,
-        repetitions=args.reps,
-        warmup=args.warmup,
-        strict=args.strict,
-    )
-    report = run_bench(config)
+    backends = tuple(BACKENDS) if args.backend == "both" else (args.backend,)
+    report = run_bench(args.corpus, backends, args.reps, args.warmup, args.strict)
     print(f"benchmarked {report.corpus_size} positions x {report.repetitions} reps", file=sys.stderr)
     print(emit_report(report, args.format), end="")
     return 0
@@ -92,8 +81,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
-    direct_backend = DirectBackend(build_attack_tables())
-    rotated_backend = RotatedBackend(build_rotation_maps(), build_line_attack_bytes())
+    direct_backend = BACKENDS["direct"]()
+    rotated_backend = BACKENDS["rotated"]()
     rng = random.Random(args.seed)
 
     mismatches = 0
@@ -148,13 +137,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_perft = sub.add_parser("perft", help="count legal move-tree leaves")
     p_perft.add_argument("--fen", default=STARTING_FEN)
     p_perft.add_argument("--depth", type=int, required=True)
-    p_perft.add_argument("--backend", choices=("direct", "rotated"), default="direct")
+    p_perft.add_argument("--backend", choices=tuple(BACKENDS), default="direct")
     p_perft.add_argument("--divide", action="store_true", help="print each root move's count, then the total")
     p_perft.set_defaults(func=cmd_perft)
 
     p_bench = sub.add_parser("bench", help="time move generation per backend over a corpus")
     p_bench.add_argument("--corpus", required=True, help="EPD or FEN file, one record per line")
-    p_bench.add_argument("--backend", choices=("direct", "rotated", "both"), default="both")
+    p_bench.add_argument("--backend", choices=(*BACKENDS, "both"), default="both")
     p_bench.add_argument("--reps", type=int, default=10)
     p_bench.add_argument("--warmup", type=int, default=2)
     p_bench.add_argument("--format", choices=("text", "csv", "markdown"), default="text")
@@ -182,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FenError, CorpusError, TableLoadError, ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:  # FenError, CorpusError and TableLoadError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -125,16 +125,12 @@ class AttackBackend(Protocol):
     ``prepare(occupied)`` builds the context for a board from scratch.
     ``prepare(occupied, parent, move)`` builds it from *parent*, the context
     of the board *move* was made on: the upkeep a backend pays per move in
-    the search.  ``context_from_state`` turns a precomputed ``RotatedState``
-    into the backend's context; only perfbench still calls it, on the boards
-    of ``bench.precompute_boards``.
+    the search.
     """
 
     name: str
 
     def prepare(self, occupied: Bitboard, parent: Any = None, move: int = 0) -> Any: ...
-
-    def context_from_state(self, state: RotatedState) -> Any: ...
 
     def rook(self, context: Any, square: Square) -> Bitboard: ...
 
@@ -178,6 +174,7 @@ class DirectBackend:
         return occupied
 
     def context_from_state(self, state: RotatedState) -> Bitboard:
+        """The context of a ``bench.precompute_boards`` board; only perfbench calls this."""
         return state.occ
 
     def rook(self, context: Bitboard, square: Square) -> Bitboard:
@@ -275,6 +272,7 @@ class RotatedBackend:
         return parent ^ flips[move & 63] ^ flips[to_sq]
 
     def context_from_state(self, state: RotatedState) -> int:
+        """The context of a ``bench.precompute_boards`` board; only perfbench calls this."""
         return int(state)
 
     def rook(self, context: int, square: Square) -> Bitboard:

@@ -300,8 +300,6 @@ def parse_epd_line(text: str) -> tuple[Position, str | None] | None:
         return None
 
     fields = line.split()
-    if len(fields) < 4:
-        raise FenError(f"expected at least 4 fields, got {len(fields)}")
     position = parse_fen(" ".join(fields[:4]))
 
     record_id = None

@@ -62,16 +62,20 @@ def save_tables(tables: AttackTables, sink: BinaryIO | str | Path) -> None:
             save_tables(tables, handle)
         return
 
-    payload = [MAGIC, struct.pack("<I", VERSION)]
-    for field in _TABLE_FIELDS:
-        table = getattr(tables, field)
-        payload.append(_COUNT.pack(sum(map(len, table.values()))))
-        payload.extend(block for _, block in _encode_movers(table))
-    for field in _MASK_FIELDS:
-        payload.append(_MASKS.pack(*getattr(tables.masks, field)))
-    body = b"".join(payload)
-    sink.write(body)
-    sink.write(struct.pack("<I", zlib.crc32(body)))
+    def blocks() -> Iterator[bytes]:  # each at most one mover's triples, so a save never holds the file
+        yield MAGIC + struct.pack("<I", VERSION)
+        for field in _TABLE_FIELDS:
+            table = getattr(tables, field)
+            yield _COUNT.pack(sum(map(len, table.values())))
+            yield from (block for _, block in _encode_movers(table))
+        for field in _MASK_FIELDS:
+            yield _MASKS.pack(*getattr(tables.masks, field))
+
+    crc = 0
+    for block in blocks():
+        sink.write(block)
+        crc = zlib.crc32(block, crc)
+    sink.write(struct.pack("<I", crc))
 
 
 def load_tables(source: BinaryIO | str | Path) -> AttackTables:

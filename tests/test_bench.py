@@ -1,7 +1,6 @@
 import pytest
 
 from chesslut.bench import (
-    BenchConfig,
     BenchReport,
     CorpusError,
     _timed_passes,
@@ -110,8 +109,7 @@ def test_precompute_preserves_popcount_and_length(rotation):
 
 
 def test_run_bench_reports_identical_counts(corpus_file):
-    config = BenchConfig(corpus_path=corpus_file, repetitions=3, warmup=1)
-    report = run_bench(config)
+    report = run_bench(corpus_file, repetitions=3, warmup=1)
     assert report.corpus_size == 25
     assert report.repetitions == 3
     direct = report.timing("direct")
@@ -126,8 +124,7 @@ def test_run_bench_reports_identical_counts(corpus_file):
 
 @pytest.mark.parametrize("backend", ["direct", "rotated"])
 def test_run_bench_single_backend(corpus_file, backend):
-    config = BenchConfig(corpus_path=corpus_file, backends=(backend,), repetitions=1, warmup=0)
-    report = run_bench(config)
+    report = run_bench(corpus_file, backends=(backend,), repetitions=1, warmup=0)
     assert [t.backend for t in report.timings] == [backend]
     assert report.ratio() is None
 
@@ -141,20 +138,19 @@ def test_run_bench_direct_only_rotates_nothing(corpus_file, monkeypatch):
 
     monkeypatch.setattr(bench_module, "build_rotation_maps", forbidden)
     monkeypatch.setattr(bench_module, "make_rotated_state", forbidden)
-    config = BenchConfig(corpus_path=corpus_file, backends=("direct",), repetitions=1, warmup=0)
-    report = run_bench(config)
+    report = run_bench(corpus_file, backends=("direct",), repetitions=1, warmup=0)
     assert report.timing("direct").moves_per_pass > 0
 
 
 def test_run_bench_validates_config(corpus_file):
     with pytest.raises(ValueError, match="repetitions"):
-        run_bench(BenchConfig(corpus_path=corpus_file, repetitions=0))
+        run_bench(corpus_file, repetitions=0)
     with pytest.raises(ValueError, match="warmup"):
-        run_bench(BenchConfig(corpus_path=corpus_file, warmup=-3))
+        run_bench(corpus_file, warmup=-3)
     with pytest.raises(ValueError, match="backend"):
-        run_bench(BenchConfig(corpus_path=corpus_file, backends=()))
+        run_bench(corpus_file, backends=())
     with pytest.raises(ValueError, match="unknown backend"):
-        run_bench(BenchConfig(corpus_path=corpus_file, backends=("magic",)))
+        run_bench(corpus_file, backends=("magic",))
 
 
 def test_timed_region_contains_no_table_construction(
@@ -200,7 +196,7 @@ def test_run_bench_builds_tables_exactly_once(corpus_file, monkeypatch):
         return real_build()
 
     monkeypatch.setattr(bench_module, "build_attack_tables", counting_build)
-    run_bench(BenchConfig(corpus_path=corpus_file, repetitions=1, warmup=0))
+    run_bench(corpus_file, repetitions=1, warmup=0)
     assert len(calls) == 1
 
 
@@ -215,15 +211,13 @@ def test_generation_call_count_is_reps_times_corpus(corpus_file, monkeypatch):
         return real_generate(position, backend, context)
 
     monkeypatch.setattr(bench_module, "generate_pseudo_legal", counting_generate)
-    run_bench(
-        BenchConfig(corpus_path=corpus_file, backends=("direct",), repetitions=4, warmup=0)
-    )
+    run_bench(corpus_file, backends=("direct",), repetitions=4, warmup=0)
     assert calls["n"] == 4 * 25
 
 
 def test_counts_stable_across_repetitions(corpus_file):
-    one = run_bench(BenchConfig(corpus_path=corpus_file, backends=("direct",), repetitions=1, warmup=0))
-    five = run_bench(BenchConfig(corpus_path=corpus_file, backends=("direct",), repetitions=5, warmup=0))
+    one = run_bench(corpus_file, backends=("direct",), repetitions=1, warmup=0)
+    five = run_bench(corpus_file, backends=("direct",), repetitions=5, warmup=0)
     assert one.timing("direct").moves_per_pass == five.timing("direct").moves_per_pass
 
 
@@ -279,7 +273,7 @@ def test_csv_parse_rejects_rows_that_disagree(column):
 
 
 def test_csv_round_trip_on_real_run(corpus_file):
-    report = run_bench(BenchConfig(corpus_path=corpus_file, repetitions=1, warmup=0))
+    report = run_bench(corpus_file, repetitions=1, warmup=0)
     assert parse_csv_report(emit_report(report, "csv")) == report
 
 

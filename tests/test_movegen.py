@@ -1,7 +1,11 @@
 import hashlib
 import io
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -797,3 +801,12 @@ def test_make_move_matches_reference_on_every_pseudo_legal_move(direct_backend):
             if victim != ".":
                 victims[victim] += 1
     assert set("pnbrqPNBRQ") <= set(victims), victims
+
+
+def test_importing_the_search_loads_neither_bench_nor_store():
+    # The package root imports only what the search and the first three demos use.
+    src = str(Path(movegen.__file__).resolve().parent.parent)
+    code = "import chesslut.movegen, sys; print(sorted({'chesslut.bench', 'chesslut.store'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n", result.stdout

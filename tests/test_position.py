@@ -91,6 +91,11 @@ def test_too_few_fields_rejected():
         parse_fen("8/8/8/8/8/8/8/8 w -")
 
 
+def test_epd_line_with_too_few_fields_rejected():
+    with pytest.raises(FenError, match="expected at least 4 fields, got 2"):
+        parse_epd_line("8/8/8/8/8/8/8/8 w")
+
+
 def test_multiple_kings_rejected():
     with pytest.raises(FenError, match="kings"):
         parse_fen("KK6/8/8/8/8/8/8/8 w - -")

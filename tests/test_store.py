@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import io
 import tracemalloc
+import types
 
 import pytest
 
@@ -274,3 +275,10 @@ def test_tables_loaded_from_a_path_peak_no_higher_than_built_ones(attack_tables,
     _, built_peak = traced_memory_mb(build_attack_tables)
     _, loaded_peak = traced_memory_mb(lambda: load_tables(target))
     assert loaded_peak <= 1.2 * built_peak, (loaded_peak, built_peak)
+
+
+def test_save_holds_one_block_at_a_time(attack_tables):
+    # The file is 1.03 MB; a save into a sink that discards its bytes holds at most one mover's 6 KB.
+    sink = types.SimpleNamespace(write=len)
+    _, peak = traced_memory_mb(lambda: save_tables(attack_tables, sink))
+    assert peak < 0.1, peak
