@@ -227,14 +227,14 @@ def _emit_markdown(report: BenchReport) -> str:
     return preamble + "\n".join((header, divider, row)) + "\n"
 
 
+# Each report format's emitter, by name, for ``emit_report`` and the CLI.
+REPORT_FORMATS = {"text": _emit_text, "csv": _emit_csv, "markdown": _emit_markdown}
+
+
 def emit_report(report: BenchReport, output_format: str = "text") -> str:
-    if output_format == "text":
-        return _emit_text(report)
-    if output_format == "csv":
-        return _emit_csv(report)
-    if output_format == "markdown":
-        return _emit_markdown(report)
-    raise ValueError(f"unknown report format {output_format!r}")
+    if output_format not in REPORT_FORMATS:
+        raise ValueError(f"unknown report format {output_format!r}")
+    return REPORT_FORMATS[output_format](report)
 
 
 def parse_csv_report(text: str) -> BenchReport:

@@ -12,7 +12,7 @@ import random
 import sys
 import time
 
-from .bench import BACKENDS, emit_report, run_bench
+from .bench import BACKENDS, REPORT_FORMATS, emit_report, run_bench
 from .bitboard import square_name
 from .corpus import DEFAULT_COUNT, generate_corpus, write_corpus
 from .movegen import perft, perft_divide
@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--backend", choices=(*BACKENDS, "both"), default="both")
     p_bench.add_argument("--reps", type=int, default=10)
     p_bench.add_argument("--warmup", type=int, default=2)
-    p_bench.add_argument("--format", choices=("text", "csv", "markdown"), default="text")
+    p_bench.add_argument("--format", choices=tuple(REPORT_FORMATS), default="text")
     p_bench.add_argument("--strict", action="store_true", help="fail on malformed corpus lines")
     p_bench.set_defaults(func=cmd_bench)
 

@@ -22,13 +22,15 @@ piece boards.  The king-safety test reads the attacker's six
 boards with one slice.  The search (perft, perft_divide, generate_legal)
 derives each child's context from its parent's and the move, so the rotated
 backend pays the incremental upkeep of the classical design rather than a
-full rotation: as in Crafty's MakeMove, it flips each square the move
-empties or fills in its four boards, kept in one int so that a square's
-flip is one XOR.  A search root is rotated from scratch, a byte at
-a time.  The king-safety filter works from the parent: two slider queries
-from the king square tell whether the side to move is in check and which
-of its pieces may be pinned, and only the children of a parent in check,
-king moves, en-passant captures and moves of those pieces get the full test.
+full rotation: as in Crafty's MakeMove, it flips the move's from- and
+to-squares in its four boards, kept in one int so that a square's flip is
+one XOR, then each square whose main-board bit still differs from the
+child's occupancy; it never reads the move's kind.  A search root is
+rotated from scratch, a byte at a time.  The king-safety filter works
+from the parent: two slider queries from the king square tell whether
+the side to move is in check and which of its pieces may be pinned, and
+only the children of a parent in check, king moves, en-passant captures
+and moves of those pieces get the full test.
 Every other child is legal by the pinned-piece argument (see
 ``_legal_children``), though it is still made and its context still derived.
 """
@@ -226,12 +228,7 @@ class RotatedBackend:
 
     def __init__(self, maps: RotationMaps, arrays: LineAttackArrays) -> None:
         self.maps = maps
-        flips = self._flips = maps.flips
-        # Each castle's king and rook squares as one flip, keyed by the king's to-square.
-        self._castle_flips = {
-            right.king_to: flips[right.king_from] ^ flips[right.king_to] ^ flips[right.rook_from] ^ flips[right.rook_to]
-            for right in CASTLING
-        }
+        self._flips = maps.flips
 
         def resolve(line: LineLayout, sq: Square) -> tuple[int, tuple[Bitboard, ...]]:
             board = line.board[sq]
@@ -252,24 +249,23 @@ class RotatedBackend:
         """Rotate *occupied* afresh, or update *parent* by the squares *move* touches.
 
         As in Crafty's MakeMove, each square the move empties or fills is
-        flipped in all four boards, one XOR per square: the from-square, the
-        to-square unless the parent has it occupied (a capture, promotion
-        captures included), an en-passant victim, and a castle's king and
-        rook squares, pre-XORed into one flip.
+        flipped in all four boards, one XOR per square.  The move's from-
+        and to-squares are flipped first, then each square whose main-board
+        bit still differs from *occupied*: a capture's target (flipped
+        back), an en-passant victim, a castle's rook squares.  The kind
+        field is never read, so for any code the result is the rotation of
+        *occupied*, given that *parent* is a rotation.
         """
         if parent is None:
             return int(make_rotated_state(occupied, self.maps))
-        kind = move >> 15 & 7
         flips = self._flips
-        to_sq = move >> 6 & 63
-        if kind == CASTLE:
-            return parent ^ self._castle_flips[to_sq]
-        if kind == EP_CAPTURE:
-            from_sq = move & 63
-            return parent ^ flips[from_sq] ^ flips[to_sq] ^ flips[(from_sq & 56) | (to_sq & 7)]
-        if parent >> to_sq & 1:
-            return parent ^ flips[move & 63]
-        return parent ^ flips[move & 63] ^ flips[to_sq]
+        context = parent ^ flips[move & 63] ^ flips[move >> 6 & 63]
+        stale = (context ^ occupied) & FULL_BOARD
+        while stale:
+            low = stale & -stale
+            stale ^= low
+            context ^= flips[low.bit_length() - 1]
+        return context
 
     def context_from_state(self, state: RotatedState) -> int:
         """The context of a ``bench.precompute_boards`` board; only perfbench calls this."""

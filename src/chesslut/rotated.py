@@ -43,7 +43,8 @@ scratch a byte at a time: the maps hold eight 256-entry tables, one per
 byte of the main board, whose entries OR together that byte's squares'
 flips.  ``rotate_occupancy``, one bit at a time, is the reference it is
 tested against.  In the search, the backend's ``prepare`` XORs in the
-flips of the squares a move touches, as in Crafty's MakeMove.
+flips of the squares a move touches, as in Crafty's MakeMove: from and
+to, then each square whose main-board bit still differs from the child's.
 """
 
 from __future__ import annotations

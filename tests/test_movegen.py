@@ -517,6 +517,38 @@ def test_rotated_upkeep_is_a_plain_int_equal_to_the_scratch_state(rotation, rota
     } <= set(kinds)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    parent_occ=st.integers(min_value=0, max_value=FULL_BOARD),
+    child_occ=st.integers(min_value=0, max_value=FULL_BOARD),
+    move=st.integers(min_value=0, max_value=2**21 - 1),
+)
+def test_rotated_upkeep_rotates_any_child_board_for_any_code(rotated_backend, parent_occ, child_occ, move):
+    """The upkeep takes every square the move's from and to leave stale from
+    the child's occupancy, so it rotates any child board, whatever the code."""
+    backend = rotated_backend
+    assert backend.prepare(child_occ, backend.prepare(parent_occ), move) == backend.prepare(child_occ)
+
+
+def test_rotated_upkeep_reads_no_kind_field(rotated_backend):
+    """Every child of Kiwipete and CPW positions 3 and 4 down to depth 2: the
+    move with its kind field cleared derives the same context, castles and
+    en-passant captures included."""
+    backend = rotated_backend
+    kinds = set()
+    for fen in (KIWIPETE, POS3, POS4):
+        root = parse_fen(fen)
+        for parent in [root] + [make_move(root, move) for move in generate_legal(root, backend)]:
+            parent_context = backend.prepare(parent.occupied())
+            for move in generate_legal(parent, backend):
+                child_occ = make_move(parent, move).occupied()
+                expected = backend.prepare(child_occ)
+                assert backend.prepare(child_occ, parent_context, move) == expected, move.uci()
+                assert backend.prepare(child_occ, parent_context, move & ~(7 << 15)) == expected, move.uci()
+                kinds.add(move.kind)
+    assert kinds == {QUIET, CAPTURE, DOUBLE_PUSH, EP_CAPTURE, CASTLE, PROMOTION}
+
+
 # -- packed move encoding -----------------------------------------------------
 
 # sha256 of write_corpus(generate_corpus(200, seed=1)): the playouts pick moves by
