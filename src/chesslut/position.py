@@ -75,7 +75,7 @@ class _PositionFields(NamedTuple):
 
 
 class Position(_PositionFields):
-    """A board position; ``Position(pieces, side, castling, ep)`` derives the occupancy.
+    """A board position; ``Position(pieces, side, castling, ep)`` checks each field and derives the occupancy.
 
     ``tuple.__new__(Position, fields)`` takes all five fields as they are,
     occupancy included: make_move builds its children that way without
@@ -87,12 +87,23 @@ class Position(_PositionFields):
     def __new__(
         cls, pieces: tuple[Bitboard, ...], side_to_move: int, castling: int, ep_square: Square | None
     ) -> Position:
-        white = black = 0
-        for board in pieces[:6]:
-            white |= board
-        for board in pieces[6:]:
-            black |= board
-        return tuple.__new__(cls, (pieces, side_to_move, castling, ep_square, (white, black)))
+        if len(pieces) != 12:
+            raise ValueError(f"expected 12 piece boards, got {len(pieces)}")
+        occupancy = [0, 0]
+        for index, board in enumerate(pieces):
+            if board < 0 or board >> 64:
+                raise ValueError(f"piece board {index} is not a 64-bit board: {board:#x}")
+            if shared := board & (occupancy[0] | occupancy[1]):
+                square = square_name(shared.bit_length() - 1)
+                raise ValueError(f"piece board {index} shares {square} with an earlier board")
+            occupancy[index >= 6] |= board
+        if side_to_move not in (WHITE, BLACK):
+            raise ValueError(f"side to move must be 0 or 1, got {side_to_move!r}")
+        if not 0 <= castling <= 15:
+            raise ValueError(f"castling rights must be a mask in 0..15, got {castling!r}")
+        if ep_square is not None and not 0 <= ep_square < 64:
+            raise ValueError(f"en-passant square must be None or 0..63, got {ep_square!r}")
+        return tuple.__new__(cls, (pieces, side_to_move, castling, ep_square, tuple(occupancy)))
 
     def __getnewargs__(self) -> tuple:
         return self[:4]  # copy and pickle go through the four-argument constructor

@@ -18,6 +18,8 @@ resolves the first level once, when it is built: per square it keeps the
 line masks and the inner dicts ``piece_bb`` selects, so its queries make
 only the second-level probes.
 
+The masks, the tables and the rotated baseline's layouts come from four line
+families, each line's squares in walk order, derived from ``make_square``.
 Every table comes from one walk: ``build_line_attack_bytes``, the 8x256
 first-rank array of attack bytes, which the rotated baseline indexes too.
 ``line_to_board`` turns a line's bytes into board bitboards (bit k stands
@@ -35,20 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitboard import (
-    A1, B1, C1, D1, E1, F1, G1, H1,
-    A2, B2, C2, D2, E2, F2, G2, H2,
-    A3, B3, C3, D3, E3, F3, G3, H3,
-    A4, B4, C4, D4, E4, F4, G4, H4,
-    A5, B5, C5, D5, E5, F5, G5, H5,
-    A6, B6, C6, D6, E6, F6, G6, H6,
-    A7, B7, C7, D7, E7, F7, G7, H7,
-    A8, B8, C8, D8, E8, F8, G8, H8,
-    Bitboard,
-    Square,
-    bit_index,
-    off_board,
-)
+from .bitboard import Bitboard, Square, bit_index, make_square, off_board
 
 # A two-level table: piece-square bitboard -> line occupancy bitboard -> attacks.
 AttackTable = dict[int, dict[int, int]]
@@ -56,63 +45,22 @@ AttackTable = dict[int, dict[int, int]]
 # 8x256 first-rank attack bytes indexed by [position in line][occupancy byte].
 LineAttackArrays = tuple[tuple[int, ...], ...]
 
-# Diagonal square lists in walk order, northeast (a1-h8 direction) first.
-NE_DIAGONALS: tuple[tuple[Bitboard, ...], ...] = (
-    (H1,),
-    (H2, G1),
-    (H3, G2, F1),
-    (H4, G3, F2, E1),
-    (H5, G4, F3, E2, D1),
-    (H6, G5, F4, E3, D2, C1),
-    (H7, G6, F5, E4, D3, C2, B1),
-    (H8, G7, F6, E5, D4, C3, B2, A1),
-    (G8, F7, E6, D5, C4, B3, A2),
-    (F8, E7, D6, C5, B4, A3),
-    (E8, D7, C6, B5, A4),
-    (D8, C7, B6, A5),
-    (C8, B7, A6),
-    (B8, A7),
-    (A8,),
+# Ranks 1 to 8, each walked from the a file.
+RANK_LINES: tuple[tuple[Bitboard, ...], ...] = tuple(tuple(1 << make_square(f, r) for f in range(8)) for r in range(8))
+
+# Files a to h, each walked from rank 1.
+FILE_LINES: tuple[tuple[Bitboard, ...], ...] = tuple(tuple(1 << make_square(f, r) for r in range(8)) for f in range(8))
+
+# Northeast (a1-h8) diagonals, file - rank = d, from the one through h1
+# (d = 7) to the one through a8 (d = -7), each walked from its highest rank.
+NE_DIAGONALS: tuple[tuple[Bitboard, ...], ...] = tuple(
+    tuple(1 << make_square(r + d, r) for r in range(7, -1, -1) if 0 <= r + d < 8) for d in range(7, -8, -1)
 )
 
-NW_DIAGONALS: tuple[tuple[Bitboard, ...], ...] = (
-    (A1,),
-    (B1, A2),
-    (C1, B2, A3),
-    (D1, C2, B3, A4),
-    (E1, D2, C3, B4, A5),
-    (F1, E2, D3, C4, B5, A6),
-    (G1, F2, E3, D4, C5, B6, A7),
-    (H1, G2, F3, E4, D5, C6, B7, A8),
-    (H2, G3, F4, E5, D6, C7, B8),
-    (H3, G4, F5, E6, D7, C8),
-    (H4, G5, F6, E7, D8),
-    (H5, G6, F7, E8),
-    (H6, G7, F8),
-    (H7, G8),
-    (H8,),
-)
-
-RANK_LINES: tuple[tuple[Bitboard, ...], ...] = (
-    (A1, B1, C1, D1, E1, F1, G1, H1),
-    (A2, B2, C2, D2, E2, F2, G2, H2),
-    (A3, B3, C3, D3, E3, F3, G3, H3),
-    (A4, B4, C4, D4, E4, F4, G4, H4),
-    (A5, B5, C5, D5, E5, F5, G5, H5),
-    (A6, B6, C6, D6, E6, F6, G6, H6),
-    (A7, B7, C7, D7, E7, F7, G7, H7),
-    (A8, B8, C8, D8, E8, F8, G8, H8),
-)
-
-FILE_LINES: tuple[tuple[Bitboard, ...], ...] = (
-    (A1, A2, A3, A4, A5, A6, A7, A8),
-    (B1, B2, B3, B4, B5, B6, B7, B8),
-    (C1, C2, C3, C4, C5, C6, C7, C8),
-    (D1, D2, D3, D4, D5, D6, D7, D8),
-    (E1, E2, E3, E4, E5, E6, E7, E8),
-    (F1, F2, F3, F4, F5, F6, F7, F8),
-    (G1, G2, G3, G4, G5, G6, G7, G8),
-    (H1, H2, H3, H4, H5, H6, H7, H8),
+# Northwest (h1-a8) diagonals, file + rank = s, from the one through a1
+# (s = 0) to the one through h8 (s = 14), each walked from its lowest rank.
+NW_DIAGONALS: tuple[tuple[Bitboard, ...], ...] = tuple(
+    tuple(1 << make_square(s - r, r) for r in range(8) if 0 <= s - r < 8) for s in range(15)
 )
 
 

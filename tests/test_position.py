@@ -55,6 +55,37 @@ def test_piece_at_rejects_off_board_squares(square):
         startpos().piece_at(square)
 
 
+_START = startpos()
+_WITH_BLACK_PAWN_ON_E2 = _START.pieces[:6] + (_START.pieces[6] | 1 << square_index("e2"),) + _START.pieces[7:]
+
+
+@pytest.mark.parametrize(
+    "pieces, side, castling, ep, message",
+    [
+        (_START.pieces[:11], WHITE, 0, None, "expected 12 piece boards, got 11"),
+        (_START.pieces + (0,), WHITE, 0, None, "expected 12 piece boards, got 13"),
+        (_START.pieces[:1] + (1 << 64,) + _START.pieces[2:], WHITE, 0, None, "piece board 1 is not a 64-bit board"),
+        ((-1,) + _START.pieces[1:], WHITE, 0, None, "piece board 0 is not a 64-bit board"),
+        (_WITH_BLACK_PAWN_ON_E2, WHITE, 0, None, "piece board 6 shares e2 with an earlier board"),
+        (_START.pieces, 2, 0, None, "side to move must be 0 or 1, got 2"),
+        (_START.pieces, -1, 0, None, "side to move must be 0 or 1, got -1"),
+        (_START.pieces, WHITE, 16, None, r"castling rights must be a mask in 0\.\.15, got 16"),
+        (_START.pieces, WHITE, -1, None, r"castling rights must be a mask in 0\.\.15, got -1"),
+        (_START.pieces, WHITE, 0, 99, r"en-passant square must be None or 0\.\.63, got 99"),
+        (_START.pieces, WHITE, 0, 64, r"en-passant square must be None or 0\.\.63, got 64"),
+        (_START.pieces, WHITE, 0, -1, r"en-passant square must be None or 0\.\.63, got -1"),
+    ],
+    ids=[
+        "11-boards", "13-boards", "bit-64", "negative-board", "shared-square", "side-2", "side-minus-1",
+        "castling-16", "castling-minus-1", "ep-99", "ep-64", "ep-minus-1",
+    ],
+)
+def test_constructor_rejects_each_bad_field(pieces, side, castling, ep, message):
+    # make_move builds children with tuple.__new__ and skips these checks.
+    with pytest.raises(ValueError, match=message):
+        Position(pieces, side, castling, ep)
+
+
 def test_rank_with_nine_files_rejected():
     for fen in (
         "9/8/8/8/8/8/8/8 w - -",

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -424,3 +425,10 @@ def test_line_lists_partition_the_board():
                 total += 1
         assert union == (1 << 64) - 1
         assert total == 64
+
+
+def test_line_families_are_pinned():
+    # The table file's digest pins only the file and diagonal walk orders;
+    # this also pins RANK_LINES', which build_rotation_maps reverses into the rank layout.
+    families = repr((RANK_LINES, FILE_LINES, NE_DIAGONALS, NW_DIAGONALS)).encode()
+    assert hashlib.sha256(families).hexdigest() == "58a39bd041074d723a00bffbe72cf2adaee13b2cee4c59bf6c5c7868c296a270"
