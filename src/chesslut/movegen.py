@@ -2,11 +2,8 @@
 
 Generation is parameterized by an attack backend so the direct-lookup
 tables and the rotated-bitboard baseline share every code path except the
-sliding-piece attack queries and the upkeep of their occupancy context.
-Both backends resolve each square when they are built: the direct one its
-masks and first-level table entries, so a query is its masked second-level
-probes; the rotated one each line's shift and 64-entry attack table, so a
-query is a shift, a mask and an index per line.
+sliding-piece attack queries and the upkeep of their occupancy context:
+``tables.DirectBackend`` and ``rotated.RotatedBackend``, re-exported here.
 A move is an int: ``Move`` subclasses int, and its value packs the move as
 ``from | to << 6 | piece << 12 | kind << 15 | promotion << 18``.  The
 generator looks quiet moves, captures and double pushes up in tuples of
@@ -22,15 +19,11 @@ piece boards.  The king-safety test reads the attacker's six
 boards with one slice.  The search (perft, perft_divide, generate_legal)
 derives each child's context from its parent's and the move, so the rotated
 backend pays the incremental upkeep of the classical design rather than a
-full rotation: as in Crafty's MakeMove, it flips the move's from- and
-to-squares in its four boards, kept in one int so that a square's flip is
-one XOR, then each square whose main-board bit still differs from the
-child's occupancy; it never reads the move's kind.  A search root is
-rotated from scratch, a byte at a time.  The king-safety filter works
-from the parent: two slider queries from the king square tell whether
-the side to move is in check and which of its pieces may be pinned, and
-only the children of a parent in check, king moves, en-passant captures
-and moves of those pieces get the full test.
+full rotation; only a search root's context is made from scratch.  The
+king-safety filter works from the parent: two slider queries from the king
+square tell whether the side to move is in check and which of its pieces
+may be pinned, and only the children of a parent in check, king moves,
+en-passant captures and moves of those pieces get the full test.
 Every other child is legal by the pinned-piece argument (see
 ``_legal_children``), though it is still made and its context still derived.
 """
@@ -39,7 +32,7 @@ from __future__ import annotations
 
 from typing import Any, Protocol
 
-from .bitboard import FULL_BOARD, KING_ATTACKS, KNIGHT_ATTACKS, PAWN_ATTACKS, Bitboard, Square, off_board, square_name
+from .bitboard import FULL_BOARD, KING_ATTACKS, KNIGHT_ATTACKS, PAWN_ATTACKS, Bitboard, Square, square_name
 from .position import (
     BISHOP,
     BLACK,
@@ -53,14 +46,8 @@ from .position import (
     Position,
 )
 from .rays import bishop_rays, rook_rays
-from .rotated import (
-    LineAttackArrays,
-    LineLayout,
-    RotatedState,
-    RotationMaps,
-    make_rotated_state,
-)
-from .tables import AttackTables
+from .rotated import RotatedBackend as RotatedBackend
+from .tables import DirectBackend as DirectBackend
 
 # Move kinds, the 3-bit kind field of a packed move.
 QUIET, CAPTURE, DOUBLE_PUSH, EP_CAPTURE, CASTLE, PROMOTION = range(6)
@@ -139,163 +126,6 @@ class AttackBackend(Protocol):
     def bishop(self, context: Any, square: Square) -> Bitboard: ...
 
     def queen(self, context: Any, square: Square) -> Bitboard: ...
-
-
-class DirectBackend:
-    """Serves sliders straight from the four lookup tables.
-
-    The first level of every table is resolved here, once per square: each
-    square's entry holds its line masks next to the inner dicts its mover
-    bitboard selects, references into the tables rather than copies.  A
-    query then masks the occupancy and probes those inner dicts, rook and
-    bishop two probes each, the queen four, all in one frame.
-    """
-
-    name = "direct"
-
-    def __init__(self, tables: AttackTables) -> None:
-        masks = tables.masks
-        self._rook: dict[Square, tuple] = {}
-        self._bishop: dict[Square, tuple] = {}
-        self._queen: dict[Square, tuple] = {}
-        for sq in range(64):
-            piece_bb = 1 << sq
-            rook = (masks.rank[sq], tables.rank_attacks[piece_bb], masks.file[sq], tables.file_attacks[piece_bb])
-            bishop = (
-                masks.diag_ne[sq],
-                tables.diag_attacks_ne[piece_bb],
-                masks.diag_nw[sq],
-                tables.diag_attacks_nw[piece_bb],
-            )
-            self._rook[sq] = rook
-            self._bishop[sq] = bishop
-            self._queen[sq] = rook + bishop
-
-    def prepare(self, occupied: Bitboard, parent: Bitboard | None = None, move: int = 0) -> Bitboard:
-        """The occupancy is the whole context: nothing to keep up."""
-        return occupied
-
-    def context_from_state(self, state: RotatedState) -> Bitboard:
-        """The context of a ``bench.precompute_boards`` board; only perfbench calls this."""
-        return state.occ
-
-    def rook(self, context: Bitboard, square: Square) -> Bitboard:
-        try:
-            rank_mask, rank_table, file_mask, file_table = self._rook[square]
-        except KeyError:
-            raise off_board(square) from None
-        return rank_table[context & rank_mask] | file_table[context & file_mask]
-
-    def bishop(self, context: Bitboard, square: Square) -> Bitboard:
-        try:
-            ne_mask, ne_table, nw_mask, nw_table = self._bishop[square]
-        except KeyError:
-            raise off_board(square) from None
-        return ne_table[context & ne_mask] | nw_table[context & nw_mask]
-
-    def queen(self, context: Bitboard, square: Square) -> Bitboard:
-        try:
-            rank_mask, rank_table, file_mask, file_table, ne_mask, ne_table, nw_mask, nw_table = self._queen[square]
-        except KeyError:
-            raise off_board(square) from None
-        return (
-            rank_table[context & rank_mask]
-            | file_table[context & file_mask]
-            | ne_table[context & ne_mask]
-            | nw_table[context & nw_mask]
-        )
-
-
-class RotatedBackend:
-    """Serves sliders from rotated occupancy boards, in Crafty's per-square form.
-
-    A context is the int value of a ``RotatedState``: the main board and its
-    three rotated copies side by side, 64 bits each.  Each square is
-    resolved here, once per line family: the shift past the line's first
-    square, its ``LineLayout`` shift plus one (a layout's shift already
-    holds its board's offset in the context: 0, 64, 128 or 192), and a
-    64-entry table indexed by the line's six inner bits, the only ones
-    that can block (a line's end squares are attacked whether occupied or
-    not).  Bits read past a line's end, of the next line or the next board,
-    only cut off attacks past that end.  An entry is the line's first-rank
-    walk mapped back through its ``line_to_board`` table, the same int
-    objects that table holds.  A query is one dict probe, then a shift, a
-    mask and an index per line, all in one frame.  The module functions in
-    ``rotated`` compute the same attacks in their composed form.
-    """
-
-    name = "rotated"
-
-    def __init__(self, maps: RotationMaps, arrays: LineAttackArrays) -> None:
-        self.maps = maps
-        self._flips = maps.flips
-
-        def resolve(line: LineLayout, sq: Square) -> tuple[int, tuple[Bitboard, ...]]:
-            board = line.board[sq]
-            walk = arrays[line.pos[sq]]
-            return line.shift[sq] + 1, tuple([board[attack] for attack in walk[:128:2]])
-
-        self._rook: dict[Square, tuple] = {}
-        self._bishop: dict[Square, tuple] = {}
-        self._queen: dict[Square, tuple] = {}
-        for sq in range(64):
-            rook = resolve(maps.rank_line, sq) + resolve(maps.file_line, sq)
-            bishop = resolve(maps.ne_line, sq) + resolve(maps.nw_line, sq)
-            self._rook[sq] = rook
-            self._bishop[sq] = bishop
-            self._queen[sq] = rook + bishop
-
-    def prepare(self, occupied: Bitboard, parent: int | None = None, move: int = 0) -> int:
-        """Rotate *occupied* afresh, or update *parent* by the squares *move* touches.
-
-        As in Crafty's MakeMove, each square the move empties or fills is
-        flipped in all four boards, one XOR per square.  The move's from-
-        and to-squares are flipped first, then each square whose main-board
-        bit still differs from *occupied*: a capture's target (flipped
-        back), an en-passant victim, a castle's rook squares.  The kind
-        field is never read, so for any code the result is the rotation of
-        *occupied*, given that *parent* is a rotation.
-        """
-        if parent is None:
-            return int(make_rotated_state(occupied, self.maps))
-        flips = self._flips
-        context = parent ^ flips[move & 63] ^ flips[move >> 6 & 63]
-        stale = (context ^ occupied) & FULL_BOARD
-        while stale:
-            low = stale & -stale
-            stale ^= low
-            context ^= flips[low.bit_length() - 1]
-        return context
-
-    def context_from_state(self, state: RotatedState) -> int:
-        """The context of a ``bench.precompute_boards`` board; only perfbench calls this."""
-        return int(state)
-
-    def rook(self, context: int, square: Square) -> Bitboard:
-        try:
-            rank_shift, rank_table, file_shift, file_table = self._rook[square]
-        except KeyError:
-            raise off_board(square) from None
-        return rank_table[context >> rank_shift & 63] | file_table[context >> file_shift & 63]
-
-    def bishop(self, context: int, square: Square) -> Bitboard:
-        try:
-            ne_shift, ne_table, nw_shift, nw_table = self._bishop[square]
-        except KeyError:
-            raise off_board(square) from None
-        return ne_table[context >> ne_shift & 63] | nw_table[context >> nw_shift & 63]
-
-    def queen(self, context: int, square: Square) -> Bitboard:
-        try:
-            rank_shift, rank_table, file_shift, file_table, ne_shift, ne_table, nw_shift, nw_table = self._queen[square]
-        except KeyError:
-            raise off_board(square) from None
-        return (
-            rank_table[context >> rank_shift & 63]
-            | file_table[context >> file_shift & 63]
-            | ne_table[context >> ne_shift & 63]
-            | nw_table[context >> nw_shift & 63]
-        )
 
 
 def is_square_attacked(

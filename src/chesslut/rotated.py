@@ -26,13 +26,8 @@ That array is ``tables.build_line_attack_bytes``, the walk the direct
 tables are built from.  The byte of a short diagonal also holds bits of
 the next diagonal above the line's end, or of the next board; those can
 only cut attacks off past that end, and the line's table maps every bit
-past the end to no square.
-
-``movegen.RotatedBackend`` resolves that composition once per square, as
-Crafty does (Hyatt, ICCA J. 22(4), 1999): a shift past the line's first
-square and a 64-entry table of board attacks indexed by the line's six
-inner bits, since a line's end squares never block anything, so its query
-is one shift, one mask and one index per line on a plain int.
+past the end to no square.  ``RotatedBackend`` resolves that composition
+once per square for the search.
 
 Keeping the rotated boards up is the design's price, and the four boards
 live side by side in one int to keep it small: a ``RotatedState`` is
@@ -42,9 +37,8 @@ flipping a square is one XOR.  ``make_rotated_state`` rotates a board from
 scratch a byte at a time: the maps hold eight 256-entry tables, one per
 byte of the main board, whose entries OR together that byte's squares'
 flips.  ``rotate_occupancy``, one bit at a time, is the reference it is
-tested against.  In the search, the backend's ``prepare`` XORs in the
-flips of the squares a move touches, as in Crafty's MakeMove: from and
-to, then each square whose main-board bit still differs from the child's.
+tested against.  The search keeps the boards up by XORing in the flips of
+the squares a move touches (``RotatedBackend.prepare``).
 """
 
 from __future__ import annotations
@@ -209,3 +203,91 @@ def queen_attacks_rotated(
 ) -> Bitboard:
     """Queen attacks from *square*; a square outside 0..63 raises ValueError."""
     return rook_attacks_rotated(state, maps, arrays, square) | bishop_attacks_rotated(state, maps, arrays, square)
+
+
+class RotatedBackend:
+    """Serves sliders from rotated occupancy boards, in Crafty's per-square form.
+
+    As in Crafty (Hyatt, ICCA J. 22(4), 1999), each square is resolved here,
+    once per line family: the shift past the line's first square, its
+    ``LineLayout`` shift plus one, and a 64-entry table indexed by the
+    line's six inner bits, the only ones that can block (a line's end
+    squares are attacked whether occupied or not).  An entry is the line's
+    first-rank walk mapped back through its ``line_to_board`` table, the
+    same int objects that table holds.  A context is the int value of a
+    ``RotatedState``; a query is one dict probe, then a shift, a mask and
+    an index per line, all in one frame.
+    """
+
+    name = "rotated"
+
+    def __init__(self, maps: RotationMaps, arrays: LineAttackArrays) -> None:
+        self.maps = maps
+        self._flips = maps.flips
+
+        def resolve(line: LineLayout, sq: Square) -> tuple[int, tuple[Bitboard, ...]]:
+            board = line.board[sq]
+            walk = arrays[line.pos[sq]]
+            return line.shift[sq] + 1, tuple([board[attack] for attack in walk[:128:2]])
+
+        self._rook: dict[Square, tuple] = {}
+        self._bishop: dict[Square, tuple] = {}
+        self._queen: dict[Square, tuple] = {}
+        for sq in range(64):
+            rook = resolve(maps.rank_line, sq) + resolve(maps.file_line, sq)
+            bishop = resolve(maps.ne_line, sq) + resolve(maps.nw_line, sq)
+            self._rook[sq] = rook
+            self._bishop[sq] = bishop
+            self._queen[sq] = rook + bishop
+
+    def prepare(self, occupied: Bitboard, parent: int | None = None, move: int = 0) -> int:
+        """Rotate *occupied* afresh, or update *parent* by the squares *move* touches.
+
+        As in Crafty's MakeMove, each square the move empties or fills is
+        flipped in all four boards, one XOR per square.  The move's from-
+        and to-squares are flipped first, then each square whose main-board
+        bit still differs from *occupied*: a capture's target (flipped
+        back), an en-passant victim, a castle's rook squares.  The kind
+        field is never read, so for any code the result is the rotation of
+        *occupied*, given that *parent* is a rotation.
+        """
+        if parent is None:
+            return int(make_rotated_state(occupied, self.maps))
+        flips = self._flips
+        context = parent ^ flips[move & 63] ^ flips[move >> 6 & 63]
+        stale = (context ^ occupied) & FULL_BOARD
+        while stale:
+            low = stale & -stale
+            stale ^= low
+            context ^= flips[low.bit_length() - 1]
+        return context
+
+    def context_from_state(self, state: RotatedState) -> int:
+        """The context of a ``bench.precompute_boards`` board; only perfbench calls this."""
+        return int(state)
+
+    def rook(self, context: int, square: Square) -> Bitboard:
+        try:
+            rank_shift, rank_table, file_shift, file_table = self._rook[square]
+        except KeyError:
+            raise off_board(square) from None
+        return rank_table[context >> rank_shift & 63] | file_table[context >> file_shift & 63]
+
+    def bishop(self, context: int, square: Square) -> Bitboard:
+        try:
+            ne_shift, ne_table, nw_shift, nw_table = self._bishop[square]
+        except KeyError:
+            raise off_board(square) from None
+        return ne_table[context >> ne_shift & 63] | nw_table[context >> nw_shift & 63]
+
+    def queen(self, context: int, square: Square) -> Bitboard:
+        try:
+            rank_shift, rank_table, file_shift, file_table, ne_shift, ne_table, nw_shift, nw_table = self._queen[square]
+        except KeyError:
+            raise off_board(square) from None
+        return (
+            rank_table[context >> rank_shift & 63]
+            | file_table[context >> file_shift & 63]
+            | ne_table[context >> ne_shift & 63]
+            | nw_table[context >> nw_shift & 63]
+        )

@@ -12,11 +12,9 @@ A query is therefore two dict lookups and an OR:
     rank_attacks[piece_bb][occupied & rank_mask[sq]]
     | file_attacks[piece_bb][occupied & file_mask[sq]]
 
-``rook_attacks``, ``bishop_attacks`` and ``queen_attacks`` below make that
-query literally, both levels per call.  The search's ``movegen.DirectBackend``
-resolves the first level once, when it is built: per square it keeps the
-line masks and the inner dicts ``piece_bb`` selects, so its queries make
-only the second-level probes.
+``rook_attacks``, ``bishop_attacks`` and ``queen_attacks`` make that query
+literally, both levels per call; ``DirectBackend`` resolves the first level
+once per square for the search.
 
 The masks, the tables and the rotated baseline's layouts come from four line
 families, each line's squares in walk order, derived from ``make_square``.
@@ -36,8 +34,12 @@ table against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .bitboard import Bitboard, Square, bit_index, make_square, off_board
+
+if TYPE_CHECKING:
+    from .rotated import RotatedState
 
 # A two-level table: piece-square bitboard -> line occupancy bitboard -> attacks.
 AttackTable = dict[int, dict[int, int]]
@@ -292,3 +294,68 @@ def bishop_attacks(tables: AttackTables, occupied: Bitboard, square: Square) -> 
 
 def queen_attacks(tables: AttackTables, occupied: Bitboard, square: Square) -> Bitboard:
     return rook_attacks(tables, occupied, square) | bishop_attacks(tables, occupied, square)
+
+
+class DirectBackend:
+    """Serves the search's sliders straight from the four lookup tables.
+
+    The first level of every table is resolved here, once per square: each
+    square's entry holds its line masks next to the inner dicts its mover
+    bitboard selects, references into the tables rather than copies.  A
+    query then masks the occupancy and probes those inner dicts, rook and
+    bishop two probes each, the queen four, all in one frame.
+    """
+
+    name = "direct"
+
+    def __init__(self, tables: AttackTables) -> None:
+        masks = tables.masks
+        self._rook: dict[Square, tuple] = {}
+        self._bishop: dict[Square, tuple] = {}
+        self._queen: dict[Square, tuple] = {}
+        for sq in range(64):
+            piece_bb = 1 << sq
+            rook = (masks.rank[sq], tables.rank_attacks[piece_bb], masks.file[sq], tables.file_attacks[piece_bb])
+            bishop = (
+                masks.diag_ne[sq],
+                tables.diag_attacks_ne[piece_bb],
+                masks.diag_nw[sq],
+                tables.diag_attacks_nw[piece_bb],
+            )
+            self._rook[sq] = rook
+            self._bishop[sq] = bishop
+            self._queen[sq] = rook + bishop
+
+    def prepare(self, occupied: Bitboard, parent: Bitboard | None = None, move: int = 0) -> Bitboard:
+        """The occupancy is the whole context: nothing to keep up."""
+        return occupied
+
+    def context_from_state(self, state: RotatedState) -> Bitboard:
+        """The context of a ``bench.precompute_boards`` board; only perfbench calls this."""
+        return state.occ
+
+    def rook(self, context: Bitboard, square: Square) -> Bitboard:
+        try:
+            rank_mask, rank_table, file_mask, file_table = self._rook[square]
+        except KeyError:
+            raise off_board(square) from None
+        return rank_table[context & rank_mask] | file_table[context & file_mask]
+
+    def bishop(self, context: Bitboard, square: Square) -> Bitboard:
+        try:
+            ne_mask, ne_table, nw_mask, nw_table = self._bishop[square]
+        except KeyError:
+            raise off_board(square) from None
+        return ne_table[context & ne_mask] | nw_table[context & nw_mask]
+
+    def queen(self, context: Bitboard, square: Square) -> Bitboard:
+        try:
+            rank_mask, rank_table, file_mask, file_table, ne_mask, ne_table, nw_mask, nw_table = self._queen[square]
+        except KeyError:
+            raise off_board(square) from None
+        return (
+            rank_table[context & rank_mask]
+            | file_table[context & file_mask]
+            | ne_table[context & ne_mask]
+            | nw_table[context & nw_mask]
+        )

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from chesslut.bench import (
@@ -213,6 +215,53 @@ def test_generation_call_count_is_reps_times_corpus(corpus_file, monkeypatch):
     monkeypatch.setattr(bench_module, "generate_pseudo_legal", counting_generate)
     run_bench(corpus_file, backends=("direct",), repetitions=4, warmup=0)
     assert calls["n"] == 4 * 25
+
+
+def test_run_bench_refuses_move_counts_that_change_between_passes(corpus_file, monkeypatch):
+    import chesslut.bench as bench_module
+    from chesslut.movegen import generate_pseudo_legal as real_generate
+
+    calls = []
+
+    def drifting_generate(position, backend, context=None):
+        # One extra move on the very first call, so only the first pass counts it.
+        calls.append(position)
+        return real_generate(position, backend, context) + [None] * (len(calls) == 1)
+
+    monkeypatch.setattr(bench_module, "generate_pseudo_legal", drifting_generate)
+    with pytest.raises(RuntimeError) as info:
+        run_bench(corpus_file, backends=("direct",), repetitions=2, warmup=0)
+    found = re.fullmatch(r"nondeterministic move counts for backend direct: \[(\d+), (\d+)\]", str(info.value))
+    first, second = map(int, found.groups())
+    assert first == second + 1
+
+
+def _rotated_sees_one_more_move(monkeypatch):
+    import chesslut.bench as bench_module
+    from chesslut.movegen import generate_pseudo_legal as real_generate
+
+    def biased_generate(position, backend, context=None):
+        moves = real_generate(position, backend, context)
+        return moves + [None] if backend.name == "rotated" else moves
+
+    monkeypatch.setattr(bench_module, "generate_pseudo_legal", biased_generate)
+
+
+def test_run_bench_refuses_backends_that_disagree(corpus_file, monkeypatch):
+    _rotated_sees_one_more_move(monkeypatch)
+    with pytest.raises(RuntimeError) as info:
+        run_bench(corpus_file, repetitions=1, warmup=0)
+    found = re.fullmatch(r"backends disagree on generated moves: \[(\d+), (\d+)\]", str(info.value))
+    direct, rotated = map(int, found.groups())
+    assert rotated == direct + 25  # one extra move per corpus position
+
+
+def test_cli_bench_fails_when_backends_disagree(corpus_file, monkeypatch, capsys):
+    from chesslut.cli import main
+
+    _rotated_sees_one_more_move(monkeypatch)
+    assert main(["bench", "--corpus", str(corpus_file), "--reps", "1", "--warmup", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: backends disagree on generated moves: ")
 
 
 def test_counts_stable_across_repetitions(corpus_file):

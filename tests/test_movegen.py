@@ -842,3 +842,15 @@ def test_importing_the_search_loads_neither_bench_nor_store():
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n", result.stdout
+
+
+def test_each_backend_lives_with_its_tables():
+    # Each backend is defined beside the data it resolves; the search only re-exports it.
+    from chesslut import rotated, tables
+
+    assert movegen.DirectBackend is tables.DirectBackend
+    assert movegen.RotatedBackend is rotated.RotatedBackend
+    assert tables.DirectBackend.__module__ == "chesslut.tables"
+    assert rotated.RotatedBackend.__module__ == "chesslut.rotated"
+    for name in ("LineLayout", "RotationMaps", "RotatedState", "make_rotated_state", "LineAttackArrays", "AttackTables"):
+        assert not hasattr(movegen, name), name
