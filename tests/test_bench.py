@@ -232,6 +232,7 @@ def test_run_bench_refuses_move_counts_that_change_between_passes(corpus_file, m
     with pytest.raises(RuntimeError) as info:
         run_bench(corpus_file, backends=("direct",), repetitions=2, warmup=0)
     found = re.fullmatch(r"nondeterministic move counts for backend direct: \[(\d+), (\d+)\]", str(info.value))
+    assert found, info.value
     first, second = map(int, found.groups())
     assert first == second + 1
 
@@ -252,6 +253,7 @@ def test_run_bench_refuses_backends_that_disagree(corpus_file, monkeypatch):
     with pytest.raises(RuntimeError) as info:
         run_bench(corpus_file, repetitions=1, warmup=0)
     found = re.fullmatch(r"backends disagree on generated moves: \[(\d+), (\d+)\]", str(info.value))
+    assert found, info.value
     direct, rotated = map(int, found.groups())
     assert rotated == direct + 25  # one extra move per corpus position
 
