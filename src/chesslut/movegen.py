@@ -258,7 +258,7 @@ def generate_pseudo_legal(
         sq = low.bit_length() - 1  # also the base code: PAWN is 0
         pawns ^= low
         target = sq + push
-        if 0 <= target <= 63 and not occupied & (1 << target):
+        if not occupied & (1 << target):  # pawns stand on ranks 2-7, so target is on the board
             if target >> 3 == promo_rank:
                 for promo in _PROMOTION_CODES:
                     add(Move(sq | target << 6 | promo))
@@ -310,7 +310,7 @@ def generate_pseudo_legal(
             to_sq = low.bit_length() - 1
             add(capture[to_sq] if enemy & low else quiet[to_sq])
 
-    if king and position.castling:
+    if position.castling:  # a castling right implies its king and rook
         for right in _CASTLING_RULES[us]:
             if not position.castling & right.flag or occupied & right.must_be_empty:
                 continue

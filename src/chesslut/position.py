@@ -6,6 +6,13 @@ an optional en-passant target square.  It also carries each colour's
 occupancy, the OR of that colour's six piece boards: the four-argument
 constructor derives it from the pieces, and make_move keeps it
 incrementally, XORing the squares a move touches into the parent's boards.
+
+The constructor is the one place that knows what a legal position is, and
+parse_fen only turns text into its four fields, text checked before rules.
+It refuses a board that is not 64 bits or shares a square, more than one
+king a side, a pawn on rank 1 or 8, the side not to move in check, a
+castling right without its king and rook at home, and an en-passant square
+off its rank or not behind a pawn that has just double-pushed past it.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ CASTLING: tuple[CastlingRight, ...] = tuple(
 
 
 class FenError(ValueError):
-    """Raised for malformed FEN or EPD input."""
+    """Raised for malformed FEN or EPD text, or a position that breaks a rule; names the FEN field at fault."""
 
 
 class _PositionFields(NamedTuple):
@@ -75,11 +82,15 @@ class _PositionFields(NamedTuple):
 
 
 class Position(_PositionFields):
-    """A board position; ``Position(pieces, side, castling, ep)`` checks each field and derives the occupancy.
+    """A legal board position; ``Position(pieces, side, castling, ep)`` checks it and derives the occupancy.
 
+    The constructor's four arguments are FEN fields 1-4 in order.  It, and so
+    ``_replace``, copy and pickle, refuses an illegal position (see the module
+    docstring) with a FenError that names the field.
     ``tuple.__new__(Position, fields)`` takes all five fields as they are,
-    occupancy included: make_move builds its children that way without
-    deriving it again, and without ``_make``'s classmethod call and length check.
+    occupancy included, and checks nothing: make_move builds its legal children
+    that way without deriving it again, and without ``_make``'s classmethod
+    call and length check.
     """
 
     __slots__ = ()
@@ -87,22 +98,37 @@ class Position(_PositionFields):
     def __new__(
         cls, pieces: tuple[Bitboard, ...], side_to_move: int, castling: int, ep_square: Square | None
     ) -> Position:
+        pieces = tuple(pieces)
         if len(pieces) != 12:
-            raise ValueError(f"expected 12 piece boards, got {len(pieces)}")
+            raise FenError(f"expected 12 piece boards, got {len(pieces)} (field 1)")
         occupancy = [0, 0]
         for index, board in enumerate(pieces):
             if board < 0 or board >> 64:
-                raise ValueError(f"piece board {index} is not a 64-bit board: {board:#x}")
+                raise FenError(f"piece board {index} is not a 64-bit board: {board:#x} (field 1)")
             if shared := board & (occupancy[0] | occupancy[1]):
                 square = square_name(shared.bit_length() - 1)
-                raise ValueError(f"piece board {index} shares {square} with an earlier board")
+                raise FenError(f"piece board {index} shares {square} with an earlier board (field 1)")
             occupancy[index >= 6] |= board
+        for color, word in ((WHITE, "white"), (BLACK, "black")):
+            if pieces[color * 6 + KING].bit_count() > 1:
+                raise FenError(f"multiple {word} kings (field 1)")
+        if stray := (pieces[PAWN] | pieces[6 + PAWN]) & _BACK_RANKS:
+            square = square_name(stray.bit_length() - 1)
+            raise FenError(f"pawn on {square}: pawns cannot stand on rank 1 or 8 (field 1)")
         if side_to_move not in (WHITE, BLACK):
-            raise ValueError(f"side to move must be 0 or 1, got {side_to_move!r}")
+            raise FenError(f"side to move must be 0 or 1, got {side_to_move!r} (field 2)")
+        occupied = occupancy[0] | occupancy[1]
+        _check_waiting_king(side_to_move, pieces, occupied)
         if not 0 <= castling <= 15:
-            raise ValueError(f"castling rights must be a mask in 0..15, got {castling!r}")
-        if ep_square is not None and not 0 <= ep_square < 64:
-            raise ValueError(f"en-passant square must be None or 0..63, got {ep_square!r}")
+            raise FenError(f"castling rights must be a mask in 0..15, got {castling!r} (field 3)")
+        for right in CASTLING:
+            if castling & right.flag:
+                for piece, square, name in ((KING, right.king_from, "king"), (ROOK, right.rook_from, "rook")):
+                    if not pieces[right.color * 6 + piece] >> square & 1:
+                        where = square_name(square)
+                        raise FenError(f"castling flag {right.letter!r} but no {name} on {where} (field 3)")
+        if ep_square is not None:
+            _check_ep_square(ep_square, side_to_move, pieces, occupied)
         return tuple.__new__(cls, (pieces, side_to_move, castling, ep_square, tuple(occupancy)))
 
     def __getnewargs__(self) -> tuple:
@@ -158,21 +184,18 @@ def _parse_board_field(field: str) -> list[Bitboard]:
             raise FenError(
                 f"rank {rank_index + 1}: covers {file_index} files, expected 8 (field 1)"
             )
-    for color, word in ((WHITE, "white"), (BLACK, "black")):
-        if boards[color * 6 + KING].bit_count() > 1:
-            raise FenError(f"multiple {word} kings (field 1)")
-    stray = (boards[PAWN] | boards[6 + PAWN]) & _BACK_RANKS
-    if stray:
-        square = square_name(stray.bit_length() - 1)
-        raise FenError(f"pawn on {square}: pawns cannot stand on rank 1 or 8 (field 1)")
     return boards
 
 
-def _check_ep_square(ep: Square, side: int, boards: list[Bitboard], occupied: Bitboard) -> None:
-    """The pawn that just double-pushed past *ep* must stand in front of it, its path empty."""
+def _check_ep_square(ep: Square, side: int, pieces: tuple[Bitboard, ...], occupied: Bitboard) -> None:
+    """*ep* lies behind a pawn that has just double-pushed, with *ep* and the pawn's origin empty."""
+    if not 0 <= ep < 64:
+        raise FenError(f"en-passant square must be None or 0..63, got {ep!r} (field 4)")
+    if ep >> 3 != (5 if side == WHITE else 2):
+        raise FenError(f"en-passant square {square_name(ep)} on wrong rank for side to move (field 4)")
     step = 8 if side == WHITE else -8  # the side to move's pawn direction
     pawn_sq, origin = ep - step, ep + step
-    if not boards[(1 - side) * 6 + PAWN] & (1 << pawn_sq):
+    if not pieces[(1 - side) * 6 + PAWN] & (1 << pawn_sq):
         raise FenError(
             f"en-passant square {square_name(ep)} but no pawn on {square_name(pawn_sq)} "
             "that could have just double-pushed (field 4)"
@@ -185,13 +208,13 @@ def _check_ep_square(ep: Square, side: int, boards: list[Bitboard], occupied: Bi
         )
 
 
-def _check_waiting_king(side: int, boards: list[Bitboard], occupied: Bitboard) -> None:
+def _check_waiting_king(side: int, pieces: tuple[Bitboard, ...], occupied: Bitboard) -> None:
     """The side not to move has just moved, so its king cannot be in check."""
-    king = boards[(1 - side) * 6 + KING]
+    king = pieces[(1 - side) * 6 + KING]
     if not king:
         return
     square = king.bit_length() - 1
-    movers = boards[side * 6 : side * 6 + 6]
+    movers = pieces[side * 6 : side * 6 + 6]
     checkers = (
         rook_rays(occupied, square) & (movers[ROOK] | movers[QUEEN])
         | bishop_rays(occupied, square) & (movers[BISHOP] | movers[QUEEN])
@@ -207,64 +230,38 @@ def _check_waiting_king(side: int, boards: list[Bitboard], occupied: Bitboard) -
         )
 
 
-_CASTLE_REQUIREMENTS = {right.letter: right for right in CASTLING}
+_CASTLING_LETTERS = {right.letter: right.flag for right in CASTLING}
 
 
-def _parse_castling_field(field: str, boards: list[Bitboard]) -> int:
+def _parse_castling_field(field: str) -> int:
     if field == "-":
         return 0
     mask = 0
     for ch in field:
-        if ch not in _CASTLE_REQUIREMENTS:
+        if ch not in _CASTLING_LETTERS:
             raise FenError(f"unknown castling flag {ch!r} (field 3)")
-        right = _CASTLE_REQUIREMENTS[ch]
-        if mask & right.flag:
+        if mask & _CASTLING_LETTERS[ch]:
             raise FenError(f"duplicate castling flag {ch!r} (field 3)")
-        king_sq, rook_sq = right.king_from, right.rook_from
-        if not boards[right.color * 6 + KING] & (1 << king_sq):
-            raise FenError(f"castling flag {ch!r} but king is not on {square_name(king_sq)} (field 3)")
-        if not boards[right.color * 6 + ROOK] & (1 << rook_sq):
-            raise FenError(f"castling flag {ch!r} but no rook on {square_name(rook_sq)} (field 3)")
-        mask |= right.flag
+        mask |= _CASTLING_LETTERS[ch]
     return mask
 
 
 def parse_fen(text: str) -> Position:
-    """Parse a FEN record (at least board, side, castling and ep fields)."""
+    """Parse a FEN record (at least board, side, castling and ep fields); Position checks the rules."""
     fields = text.split()
     if len(fields) < 4:
         raise FenError(f"expected at least 4 fields, got {len(fields)}")
-
     boards = _parse_board_field(fields[0])
-    occupied = 0
-    for board in boards:
-        occupied |= board
-
-    if fields[1] == "w":
-        side = WHITE
-    elif fields[1] == "b":
-        side = BLACK
-    else:
+    if fields[1] not in ("w", "b"):
         raise FenError(f"side to move must be 'w' or 'b', got {fields[1]!r} (field 2)")
-    _check_waiting_king(side, boards, occupied)
-
-    castling = _parse_castling_field(fields[2], boards)
-
-    if fields[3] == "-":
-        ep: Square | None = None
-    else:
+    castling = _parse_castling_field(fields[2])
+    ep: Square | None = None
+    if fields[3] != "-":
         try:
             ep = square_index(fields[3])
         except ValueError as exc:
             raise FenError(f"{exc} (field 4)") from None
-        expected_rank = 5 if side == WHITE else 2
-        if ep >> 3 != expected_rank:
-            raise FenError(
-                f"en-passant square {fields[3]} on wrong rank for side to move (field 4)"
-            )
-        _check_ep_square(ep, side, boards, occupied)
-
-    return Position(tuple(boards), side, castling, ep)
+    return Position(boards, "wb".index(fields[1]), castling, ep)
 
 
 def serialize_fen(position: Position) -> str:

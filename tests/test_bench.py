@@ -158,14 +158,20 @@ def test_run_bench_validates_config(corpus_file):
 def test_timed_region_contains_no_table_construction(
     corpus_file, attack_tables, rotation, monkeypatch
 ):
-    # Prove the timed core never touches a builder: make every builder blow up,
-    # then run the timed passes with prebuilt resources.
+    # Prove the timed core never touches a builder: make every builder of both
+    # designs blow up, then run the timed passes with prebuilt resources.  The
+    # jobs are made first, because prepare(occupied) rotates from scratch.
     import chesslut.bench as bench_module
+    import chesslut.rotated as rotated_module
     import chesslut.tables as tables_module
     from chesslut.movegen import DirectBackend, RotatedBackend
 
     maps, arrays = rotation
     corpus = load_corpus(corpus_file)
+    runs = [
+        (backend, [(position, backend.prepare(position.occupied())) for position, _ in corpus])
+        for backend in (DirectBackend(attack_tables), RotatedBackend(maps, arrays))
+    ]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("table construction inside the timed region")
@@ -176,12 +182,15 @@ def test_timed_region_contains_no_table_construction(
         "build_file_attacks",
         "build_attack_table",
         "build_masks",
+        "build_line_attack_bytes",
     ):
         monkeypatch.setattr(tables_module, name, forbidden)
-    monkeypatch.setattr(bench_module, "build_attack_tables", forbidden)
+    for name in ("build_rotation_maps", "make_rotated_state", "build_line_attack_bytes"):
+        monkeypatch.setattr(rotated_module, name, forbidden)
+    for name in ("build_attack_tables", "build_rotation_maps", "make_rotated_state", "build_line_attack_bytes"):
+        monkeypatch.setattr(bench_module, name, forbidden)
 
-    for backend in (DirectBackend(attack_tables), RotatedBackend(maps, arrays)):
-        jobs = [(position, backend.prepare(position.occupied())) for position, _ in corpus]
+    for backend, jobs in runs:
         elapsed, counts = _timed_passes(backend, jobs, 2)
         assert elapsed > 0
         assert counts[0] == counts[1] > 0

@@ -8,6 +8,7 @@ from chesslut.movegen import generate_legal, make_move
 from chesslut.position import (
     BISHOP,
     BLACK,
+    CASTLE_WK,
     KING,
     PAWN,
     STARTING_FEN,
@@ -59,6 +60,15 @@ _START = startpos()
 _WITH_BLACK_PAWN_ON_E2 = _START.pieces[:6] + (_START.pieces[6] | 1 << square_index("e2"),) + _START.pieces[7:]
 
 
+def _boards(**placement):
+    """Twelve piece boards from FEN letters and square names, e.g. ``_boards(K="e1", k="e8")``; no rule checked."""
+    pieces = [0] * 12
+    for letter, squares in placement.items():
+        for name in squares.split():
+            pieces["PNBRQKpnbrqk".index(letter)] |= 1 << square_index(name)
+    return tuple(pieces)
+
+
 @pytest.mark.parametrize(
     "pieces, side, castling, ep, message",
     [
@@ -74,15 +84,26 @@ _WITH_BLACK_PAWN_ON_E2 = _START.pieces[:6] + (_START.pieces[6] | 1 << square_ind
         (_START.pieces, WHITE, 0, 99, r"en-passant square must be None or 0\.\.63, got 99"),
         (_START.pieces, WHITE, 0, 64, r"en-passant square must be None or 0\.\.63, got 64"),
         (_START.pieces, WHITE, 0, -1, r"en-passant square must be None or 0\.\.63, got -1"),
+        (_boards(K="a1 h8", k="e5"), WHITE, 0, None, r"multiple white kings \(field 1\)"),
+        (_boards(K="e1", k="a8", P="d8"), WHITE, 0, None, r"pawn on d8: .* \(field 1\)"),
+        (_boards(K="a1", k="e8", p="e1"), WHITE, 0, None, r"pawn on e1: .* \(field 1\)"),
+        (_boards(K="e1", k="e8", R="e2"), WHITE, 0, None, r"black king on e8 is in check from e2 \(field 2\)"),
+        (_boards(K="e1", k="e8"), WHITE, CASTLE_WK, None, r"castling flag 'K' but no rook on h1 \(field 3\)"),
+        (_boards(K="d1", k="e8", R="h1"), WHITE, CASTLE_WK, None, r"castling flag 'K' but no king on e1 \(field 3\)"),
+        (_boards(K="e1", k="e8", P="e5"), WHITE, 0, square_index("d6"), r"no pawn on d5 .* \(field 4\)"),
+        (_boards(K="e1", k="e8", p="d4"), WHITE, 0, square_index("d3"), r"d3 on wrong rank .* \(field 4\)"),
+        (_boards(K="e1", k="e8", p="d5", b="d7"), WHITE, 0, square_index("d6"), r"d6 but d7 is occupied \(field 4\)"),
     ],
     ids=[
         "11-boards", "13-boards", "bit-64", "negative-board", "shared-square", "side-2", "side-minus-1",
-        "castling-16", "castling-minus-1", "ep-99", "ep-64", "ep-minus-1",
+        "castling-16", "castling-minus-1", "ep-99", "ep-64", "ep-minus-1", "two-white-kings", "pawn-on-d8",
+        "pawn-on-e1", "waiting-king-in-check", "K-without-h1-rook", "K-with-king-off-e1", "ep-without-pawn",
+        "ep-wrong-rank", "ep-origin-occupied",
     ],
 )
 def test_constructor_rejects_each_bad_field(pieces, side, castling, ep, message):
     # make_move builds children with tuple.__new__ and skips these checks.
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(FenError, match=message):
         Position(pieces, side, castling, ep)
 
 
@@ -253,10 +274,12 @@ def test_position_is_an_immutable_hashable_value(direct_backend):
         assert played == parsed and hash(played) == hash(parsed)
         assert played.occupancy == parsed.occupancy
 
-    # The four-argument constructor derives the occupancy from the pieces.
+    # The four-argument constructor derives the occupancy from the pieces, and stores them as a tuple.
     built = Position(pos.pieces, pos.side_to_move, pos.castling, pos.ep_square)
     assert built == pos and built.occupancy == (0xFFFF, 0xFFFF << 48)
     assert built.color_bb(WHITE) | built.color_bb(BLACK) == built.occupied()
+    from_list = Position(list(pos.pieces), WHITE, 15, None)
+    assert from_list == pos and hash(from_list) == hash(pos) and pickle.loads(pickle.dumps(from_list)) == pos
 
     # Copies, pickles and _replace go through it too, so the occupancy stays derived.
     assert copy.copy(pos) == pos and copy.deepcopy(pos) == pos
@@ -265,3 +288,8 @@ def test_position_is_an_immutable_hashable_value(direct_backend):
     assert no_white_pawns.occupancy == (0xFF, 0xFFFF << 48)
     with pytest.raises(TypeError):
         pos._replace(occupancy=(0, 0))
+    # ...and so does every rule it checks.
+    with pytest.raises(FenError, match="field 4"):
+        pos._replace(ep_square=square_index("e3"))  # white to move: the wrong rank
+    with pytest.raises(FenError, match="field 3"):
+        pos._replace(pieces=_boards(K="e1", k="e8"))  # KQkq without the rooks
