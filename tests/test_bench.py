@@ -160,7 +160,7 @@ def test_timed_region_contains_no_table_construction(
 ):
     # Prove the timed core never touches a builder: make every builder of both
     # designs blow up, then run the timed passes with prebuilt resources.  The
-    # jobs are made first, because prepare(occupied) rotates from scratch.
+    # jobs are made first, because prepare(occupied) rotates the board afresh.
     import chesslut.bench as bench_module
     import chesslut.rotated as rotated_module
     import chesslut.tables as tables_module
